@@ -190,23 +190,27 @@ class _TimeCounterPolicy(SchedulingPolicy):
             config=self._search,
         )
 
+    def _bind(
+        self, topology: WSNTopology, schedule: WakeupSchedule | None
+    ) -> TimeCounter:
+        self._topology = topology
+        self._schedule = schedule
+        self._counter = self._build_counter(topology, schedule)
+        return self._counter
+
     def prepare(
         self,
         topology: WSNTopology,
         schedule: WakeupSchedule | None,
         source: int,
     ) -> None:
-        rebuild = (
+        if (
             self._counter is None
             or self._topology is not topology
             or self._schedule is not schedule
-        )
-        if rebuild:
-            self._topology = topology
-            self._schedule = schedule
-            self._counter = self._build_counter(topology, schedule)
+        ):
+            self._bind(topology, schedule)
         else:
-            assert self._counter is not None
             self._counter.clear_cache()
 
     @property
@@ -222,10 +226,10 @@ class _TimeCounterPolicy(SchedulingPolicy):
     def select_advance(self, state: BroadcastState) -> Advance | None:
         if state.is_complete:
             return None
-        if self._counter is None or self._topology is not state.topology:
+        counter = self._counter
+        if counter is None or self._topology is not state.topology:
             # Lazy preparation for callers that drive the policy directly.
-            self.prepare(state.topology, state.schedule, source=-1)
-        assert self._counter is not None
+            counter = self._bind(state.topology, state.schedule)
 
         awake = None
         if state.schedule is not None:
@@ -244,7 +248,14 @@ class _TimeCounterPolicy(SchedulingPolicy):
             )
         if not colors:
             return None
-        best_color, _ = self._counter.select_color(state.covered, state.time, colors)
+        if len(colors) == 1:
+            # M cannot change a choice of one; skip the search whose
+            # completion time would be discarded, but still reject a
+            # broadcast that can never finish.
+            counter.check_reachable(state.covered)
+            best_color = colors[0]
+        else:
+            best_color, _ = counter.select_color(state.covered, state.time, colors)
         num_colors = len(colors)
         color_index = next(
             (i + 1 for i, c in enumerate(colors) if c == best_color), 0
@@ -273,7 +284,7 @@ class OptPolicy(_TimeCounterPolicy):
         search (``SearchConfig(mode="beam")``) for the 50-300 node sweeps.
     max_color_classes:
         Cap on the number of admissible colours enumerated per decision
-        (see DESIGN.md; ``None`` = exhaustive).
+        (see ``docs/architecture.md``; ``None`` = exhaustive).
     """
 
     name = "OPT"
@@ -350,28 +361,33 @@ class EModelPolicy(SchedulingPolicy):
         """The proactively constructed 4-tuples (``None`` until prepared)."""
         return self._estimate
 
+    def _bind(
+        self, topology: WSNTopology, schedule: WakeupSchedule | None
+    ) -> EdgeEstimate:
+        self._topology = topology
+        self._schedule = schedule
+        self._estimate = build_edge_estimate(topology, schedule, weight=self._weight)
+        return self._estimate
+
     def prepare(
         self,
         topology: WSNTopology,
         schedule: WakeupSchedule | None,
         source: int,
     ) -> None:
-        rebuild = (
+        if (
             self._estimate is None
             or self._topology is not topology
             or self._schedule is not schedule
-        )
-        if rebuild:
-            self._topology = topology
-            self._schedule = schedule
-            self._estimate = build_edge_estimate(topology, schedule, weight=self._weight)
+        ):
+            self._bind(topology, schedule)
 
     def select_advance(self, state: BroadcastState) -> Advance | None:
         if state.is_complete:
             return None
-        if self._estimate is None or self._topology is not state.topology:
-            self.prepare(state.topology, state.schedule, source=-1)
-        assert self._estimate is not None
+        estimate = self._estimate
+        if estimate is None or self._topology is not state.topology:
+            estimate = self._bind(state.topology, state.schedule)
 
         awake = None
         if state.schedule is not None:
@@ -382,7 +398,7 @@ class EModelPolicy(SchedulingPolicy):
 
         scored: list[tuple[float, int, int, frozenset[int]]] = []
         for index, color in enumerate(colors):
-            score = self._estimate.color_score(state.topology, color, state.covered)
+            score = estimate.color_score(state.topology, color, state.covered)
             advance = Advance.from_color(
                 state.topology, state.covered, color, state.time
             )

@@ -37,9 +37,10 @@ Two structural properties keep both searches sound:
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from dataclasses import dataclass
+from typing import Collection, Iterable, Literal
+
+import numpy as np
 
 from repro.core.coloring import ColorScheme, frontier_candidates
 from repro.dutycycle.schedule import WakeupSchedule
@@ -47,6 +48,10 @@ from repro.network.interference import receivers_of
 from repro.network.topology import WSNTopology
 
 __all__ = ["SearchConfig", "TimeCounter", "SearchBudgetExceeded", "UnreachableNodes"]
+
+#: An unreachable pair of the topology's hop matrix (``-1``) read as unsigned:
+#: the largest value, so it never wins a minimum over several sources.
+_UNREACHABLE = np.iinfo(np.uint32).max
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -140,6 +145,10 @@ class TimeCounter:
         self.stats = _SearchStats()
         self._sync_memo: dict[frozenset[int], int] = {}
         self._duty_memo: dict[tuple[frozenset[int], int], int] = {}
+        # Hop bounds and reachability read the topology's hop matrix; the id
+        # -> row dict keeps the per-state row lookup off method calls.
+        self._hops = topology.hop_matrix.view(np.uint32)
+        self._index = {u: topology.index_of(u) for u in topology.node_ids}
 
     # ------------------------------------------------------------------
     # Public API
@@ -153,7 +162,7 @@ class TimeCounter:
         covered = frozenset(covered)
         if time < 1:
             raise ValueError(f"time is 1-based, got {time}")
-        self._check_reachable(covered)
+        self.check_reachable(covered)
         if self.schedule is None:
             return time - 1 + self._remaining_sync(covered)
         return self._completion_duty(covered, time)
@@ -194,7 +203,8 @@ class TimeCounter:
         of the earliest-completing state wins.  This preserves the "judge a
         colour by the best schedule that starts with it" semantics of the
         time counter while doing the work of one search instead of
-        ``λ(W)`` searches — the approximation documented in DESIGN.md.
+        ``λ(W)`` searches — the approximation documented in
+        ``docs/architecture.md``.
         """
         covered = frozenset(covered)
         colors = [frozenset(c) for c in colors]
@@ -240,50 +250,43 @@ class TimeCounter:
             return None
         return self.schedule.awake_nodes(covered, time)
 
-    def _check_reachable(self, covered: frozenset[int]) -> None:
-        uncovered = self.topology.node_set - covered
-        if not uncovered:
+    def check_reachable(self, covered: Collection[int]) -> None:
+        """Raise :class:`UnreachableNodes` if some uncovered node can never be reached."""
+        if len(covered) == self.topology.num_nodes:
             return
-        reachable = self._reachable_from(covered)
-        unreachable = uncovered - reachable
-        if unreachable:
+        distances = self._distances_from(covered)
+        unreachable = np.flatnonzero(distances == _UNREACHABLE)
+        if unreachable.size:
+            ids = self.topology.node_ids
             raise UnreachableNodes(
-                f"{len(unreachable)} nodes can never receive the message "
-                f"(e.g. {sorted(unreachable)[:5]}); the topology is disconnected"
+                f"{unreachable.size} nodes can never receive the message "
+                f"(e.g. {[ids[i] for i in unreachable[:5]]}); the topology is disconnected"
             )
 
-    def _reachable_from(self, covered: frozenset[int]) -> frozenset[int]:
-        seen = set(covered)
-        queue = deque(covered)
-        while queue:
-            u = queue.popleft()
-            for v in self.topology.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return frozenset(seen)
+    def _distances_from(self, covered: Collection[int]) -> np.ndarray:
+        """Hop distance from ``W`` to every node (``_UNREACHABLE`` if none)."""
+        if not covered:
+            return np.full(self.topology.num_nodes, _UNREACHABLE, dtype=np.uint32)
+        rows = np.fromiter(
+            map(self._index.__getitem__, covered), dtype=np.intp, count=len(covered)
+        )
+        return self._hops[rows].min(axis=0)
 
     def _hop_lower_bound(self, covered: frozenset[int]) -> int:
         """Largest hop distance from ``W`` to an uncovered node (admissible)."""
-        uncovered = self.topology.node_set - covered
-        if not uncovered:
+        if len(covered) == self.topology.num_nodes:
             return 0
-        distance = {u: 0 for u in covered}
-        queue = deque(covered)
-        farthest = 0
-        while queue:
-            u = queue.popleft()
-            for v in self.topology.neighbors(u):
-                if v not in distance:
-                    distance[v] = distance[u] + 1
-                    farthest = max(farthest, distance[v])
-                    queue.append(v)
-        return farthest
+        distances = self._distances_from(covered)
+        return int(distances[distances != _UNREACHABLE].max(initial=0))
+
+    def _duty_schedule(self) -> WakeupSchedule:
+        if self.schedule is None:
+            raise RuntimeError("the duty-cycle search needs a wake-up schedule")
+        return self.schedule
 
     def _duty_horizon(self, time: int) -> int:
-        assert self.schedule is not None
         # The horizon must cover the sleepiest node's cycle, not the base rate.
-        rate = self.schedule.max_rate
+        rate = self._duty_schedule().max_rate
         # d+2 measured from scratch is a safe over-estimate of the remaining
         # depth for any intermediate W.
         try:
@@ -386,11 +389,10 @@ class TimeCounter:
 
     def _next_decision_slot(self, covered: frozenset[int], slot: int) -> int:
         """Earliest slot >= ``slot`` at which some frontier node may send."""
-        assert self.schedule is not None
-        frontier = [
-            u for u in covered if self.topology.uncovered_neighbors(u, covered)
-        ]
-        nxt = self.schedule.next_awake_slot(frontier, slot)
+        topology = self.topology
+        uncovered_mask = topology.full_mask & ~topology.mask_from_nodes(covered)
+        frontier = [u for u in covered if topology.neighbor_mask(u) & uncovered_mask]
+        nxt = self._duty_schedule().next_awake_slot(frontier, slot)
         if nxt is None:
             raise UnreachableNodes(
                 "no frontier node exists although uncovered nodes remain"
@@ -398,7 +400,6 @@ class TimeCounter:
         return nxt
 
     def _completion_duty_exact(self, covered: frozenset[int], slot: int) -> int:
-        assert self.schedule is not None
         if len(covered) == self.topology.num_nodes:
             return slot - 1
         horizon = self._duty_horizon(slot)
@@ -419,7 +420,7 @@ class TimeCounter:
                 "schedule does not give frontier nodes sending opportunities"
             )
         self.stats.expansions += 1
-        awake = self.schedule.awake_nodes(covered, decision_slot)
+        awake = self._duty_schedule().awake_nodes(covered, decision_slot)
         colors = self.color_scheme.color_classes(self.topology, covered, awake)
         # ``decision_slot`` guarantees at least one awake frontier node.
         best = math.inf
@@ -527,7 +528,7 @@ class TimeCounter:
         time: int,
         colors: list[frozenset[int]],
     ) -> tuple[frozenset[int], int]:
-        assert self.schedule is not None
+        schedule = self._duty_schedule()
         full = self.topology.node_set
         horizon = self._duty_horizon(time)
         ordered = sorted(colors, key=lambda c: self._color_sort_key(c, covered))
@@ -563,7 +564,7 @@ class TimeCounter:
                 if decision_slot > horizon or decision_slot >= best_completion:
                     continue
                 self.stats.expansions += 1
-                awake = self.schedule.awake_nodes(state, decision_slot)
+                awake = schedule.awake_nodes(state, decision_slot)
                 next_colors = self.color_scheme.color_classes(self.topology, state, awake)
                 for color in next_colors:
                     reached = receivers_of(self.topology, color, state)
@@ -597,7 +598,7 @@ class TimeCounter:
         return best_first, int(best_completion)
 
     def _completion_duty_beam(self, covered: frozenset[int], slot: int) -> int:
-        assert self.schedule is not None
+        schedule = self._duty_schedule()
         if len(covered) == self.topology.num_nodes:
             return slot - 1
         horizon = self._duty_horizon(slot)
@@ -616,7 +617,7 @@ class TimeCounter:
                 if decision_slot > horizon:
                     continue
                 self.stats.expansions += 1
-                awake = self.schedule.awake_nodes(state, decision_slot)
+                awake = schedule.awake_nodes(state, decision_slot)
                 colors = self.color_scheme.color_classes(self.topology, state, awake)
                 for color in colors:
                     reached = receivers_of(self.topology, color, state)

@@ -188,6 +188,9 @@ class WakeupSchedule:
             u: overrides.get(u, self._rate) for u in self._node_ids
         }
         self._sequences: dict[int, _NodeSequence | _ExplicitSequence] = {}
+        self._node_set = frozenset(self._node_ids)
+        # slot -> every node awake at that slot, filled on first query.
+        self._awake_at: dict[int, frozenset[int]] = {}
         for node_id in self._node_ids:
             node_rate = self._rates[node_id]
             if node_id in explicit:
@@ -243,8 +246,26 @@ class WakeupSchedule:
         return self._sequences[node_id].next_active(slot)
 
     def awake_nodes(self, candidates: Iterable[int], slot: int) -> frozenset[int]:
-        """Subset of ``candidates`` whose sending channel is on at ``slot``."""
-        return frozenset(u for u in candidates if self.is_active(u, slot))
+        """Subset of ``candidates`` whose sending channel is on at ``slot``.
+
+        The set of nodes awake at ``slot`` is computed once per slot and
+        cached, so repeated queries (the engine and the time-counter search
+        ask about the same slots many times) cost one set intersection.
+        Raises ``KeyError`` for a candidate the schedule does not cover.
+        """
+        if slot < 1:
+            raise ValueError(f"slots are 1-based, got {slot}")
+        if not isinstance(candidates, (set, frozenset)):
+            candidates = frozenset(candidates)
+        if not candidates <= self._node_set:
+            raise KeyError(min(candidates - self._node_set))
+        awake = self._awake_at.get(slot)
+        if awake is None:
+            awake = frozenset(
+                u for u, sequence in self._sequences.items() if sequence.is_active(slot)
+            )
+            self._awake_at[slot] = awake
+        return awake & candidates
 
     def next_awake_slot(self, candidates: Iterable[int], slot: int) -> int | None:
         """Earliest slot >= ``slot`` at which *some* candidate is awake.

@@ -5,7 +5,7 @@ construction of Goldenberg et al. [6] starting from any node on the convex
 hull [3] of the deployment (Algorithm 2, step 1).  The role of that phase is
 only to decide which nodes may seed the quadrant estimates ``E_i`` with zero.
 
-Substitution (documented in DESIGN.md): the original boundary construction
+Substitution (documented in ``docs/architecture.md``): the original boundary construction
 walks the outer face of the UDG with right-hand-rule link traversal.  Here a
 node is classified as a boundary node when either
 

@@ -116,16 +116,16 @@ class Deployment:
 
 
 def _candidate_sources(topology: WSNTopology, config: DeploymentConfig) -> list[int]:
-    """Node ids whose eccentricity lies in the configured range."""
-    candidates = []
-    for u in topology.node_ids:
-        ecc = topology.eccentricity(u)
-        if ecc < config.source_min_ecc:
-            continue
-        if config.source_max_ecc is not None and ecc > config.source_max_ecc:
-            continue
-        candidates.append(u)
-    return candidates
+    """Node ids whose eccentricity lies in the configured range.
+
+    ``topology`` must be connected (callers check first), so every row of the
+    hop matrix is a full eccentricity profile.
+    """
+    eccentricities = topology.hop_matrix.max(axis=1, initial=0)
+    eligible = eccentricities >= config.source_min_ecc
+    if config.source_max_ecc is not None:
+        eligible &= eccentricities <= config.source_max_ecc
+    return [topology.node_ids[i] for i in np.flatnonzero(eligible)]
 
 
 def deploy_uniform(

@@ -83,6 +83,7 @@ class WSNTopology:
         "_neighbor_masks",
         "_full_mask",
         "_node_set",
+        "_hops",
         # Weak-referenceable so derived views (e.g. the vectorized backend's
         # BitsetTopology) can be cached per topology without keeping dead
         # topologies alive.
@@ -135,6 +136,7 @@ class WSNTopology:
                 mask |= 1 << self._id_to_index[v]
             self._neighbor_masks[u] = mask
         self._full_mask = (1 << len(ids)) - 1
+        self._hops: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -352,23 +354,82 @@ class WSNTopology:
             layers[dist].add(node_id)
         return [frozenset(layer) for layer in layers]
 
+    @property
+    def hop_matrix(self) -> np.ndarray:
+        """All-pairs hop distances as a read-only ``(n, n)`` int32 array.
+
+        Entry ``(i, j)`` is the hop distance from ``node_ids[i]`` to
+        ``node_ids[j]``; ``-1`` marks an unreachable pair.  The topology
+        never changes, so the matrix is built once, on first use, by one
+        level-synchronous BFS from every source at once (bit-parallel over
+        sources, one vectorised step per BFS layer), and every hop-distance
+        query (eccentricity, diameter, source vetting, the time counter's
+        bounds) reads it instead of running its own BFS.
+        """
+        if self._hops is None:
+            self._hops = self._build_hop_matrix()
+        return self._hops
+
+    def _build_hop_matrix(self) -> np.ndarray:
+        n = self.num_nodes
+        index = self._id_to_index
+        hops = np.full((n, n), -1, dtype=np.int32)
+        np.fill_diagonal(hops, 0)
+        # Row i of ``reached`` is a packed bitset of the sources whose BFS has
+        # reached node i.  Each layer, a node hears the union of its
+        # neighbours' rows; the bits it did not have yet are the sources at
+        # exactly ``depth`` hops.  Edges are grouped by listening node so the
+        # union is one ``reduceat`` over all nodes with a neighbour.
+        senders = [[index[v] for v in self._adjacency[u]] for u in self._node_ids]
+        degree = np.array([len(row) for row in senders], dtype=np.intp)
+        listeners = np.flatnonzero(degree)
+        flat = np.array([v for row in senders for v in row], dtype=np.intp)
+        starts = (np.cumsum(degree) - degree)[listeners]
+        reached = np.packbits(np.eye(n, dtype=bool), axis=1, bitorder="little")
+        depth = 0
+        while flat.size:
+            depth += 1
+            heard = np.bitwise_or.reduceat(reached[flat], starts, axis=0)
+            new = heard & ~reached[listeners]
+            nodes, sources = np.nonzero(
+                np.unpackbits(new, axis=1, count=n, bitorder="little")
+            )
+            if not nodes.size:
+                break
+            reached[listeners] |= new
+            hops[sources, listeners[nodes]] = depth
+        hops.setflags(write=False)
+        return hops
+
     def eccentricity(self, source: NodeId) -> int:
         """Hop distance from ``source`` to the farthest *reachable* node.
 
         This is the quantity ``d`` of Theorem 1.  Raises if the network is
         disconnected from ``source`` (the broadcast could never finish).
         """
-        distances = self.hop_distances(source)
-        if len(distances) != self.num_nodes:
-            missing = self.node_set - distances.keys()
+        if source not in self._nodes:
+            raise KeyError(f"unknown source node {source}")
+        row = self.hop_matrix[self._id_to_index[source]]
+        missing = int(np.count_nonzero(row < 0))
+        if missing:
             raise ValueError(
-                f"network is disconnected: {len(missing)} nodes unreachable from {source}"
+                f"network is disconnected: {missing} nodes unreachable from {source}"
             )
-        return max(distances.values())
+        return int(row.max())
 
     def diameter(self) -> int:
-        """The largest eccentricity over all nodes (hop diameter)."""
-        return max(self.eccentricity(u) for u in self._node_ids)
+        """The largest eccentricity over all nodes (hop diameter).
+
+        Raises ``ValueError`` for an empty or a disconnected network.
+        """
+        if not self._node_ids:
+            raise ValueError("the diameter of an empty network is undefined")
+        hops = self.hop_matrix
+        if hops.min() < 0:
+            # Every node of a disconnected network misses some node; report
+            # the first one exactly as eccentricity() does.
+            self.eccentricity(self._node_ids[0])
+        return int(hops.max())
 
     def is_connected(self) -> bool:
         """True iff every node is reachable from every other node."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,3 +85,45 @@ def test_duty_cycle_latency_structure(case, rate, seed):
     assert duty.latency == duty.num_advances + duty.idle_time
     assert duty.num_advances >= eccentricity
     assert duty.latency >= eccentricity
+
+
+@st.composite
+def wakeup_schedules(draw):
+    """Uniform, heterogeneous-rate or partly explicit schedules over 1-12 nodes."""
+    nodes = list(range(draw(st.integers(1, 12))))
+    rate = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**30))
+    kind = draw(st.sampled_from(["uniform", "heterogeneous", "explicit"]))
+    if kind == "heterogeneous":
+        rates = {u: draw(st.integers(1, 12)) for u in nodes}
+        return WakeupSchedule(nodes, rate=rate, seed=seed, rates=rates)
+    if kind == "explicit":
+        pinned = draw(st.sets(st.sampled_from(nodes), min_size=1))
+        explicit = {
+            u: draw(st.lists(st.integers(1, 3 * rate), min_size=1, max_size=4))
+            for u in pinned
+        }
+        return WakeupSchedule(nodes, rate=rate, seed=seed, explicit=explicit)
+    return WakeupSchedule(nodes, rate=rate, seed=seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wakeup_schedules(), st.data())
+def test_awake_nodes_equals_per_node_filter(schedule, data):
+    """The per-slot awake-set cache answers exactly like ``is_active`` per node."""
+    nodes = schedule.node_ids
+    for _ in range(6):
+        candidates = data.draw(st.lists(st.sampled_from(nodes), max_size=len(nodes)))
+        slot = data.draw(st.integers(1, 80))
+        expected = frozenset(u for u in candidates if schedule.is_active(u, slot))
+        assert schedule.awake_nodes(candidates, slot) == expected
+        assert schedule.awake_nodes(frozenset(candidates), slot) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(wakeup_schedules())
+def test_awake_nodes_rejects_bad_slots_and_unknown_nodes(schedule):
+    with pytest.raises(ValueError):
+        schedule.awake_nodes(schedule.node_ids, 0)
+    with pytest.raises(KeyError):
+        schedule.awake_nodes([schedule.node_ids[0], max(schedule.node_ids) + 1], 1)

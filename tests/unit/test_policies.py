@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.advance import BroadcastState
+from repro.core.advance import Advance, BroadcastState
+from repro.core.coloring import ColorScheme
 from repro.core.policies import EModelPolicy, GreedyOptPolicy, OptPolicy
-from repro.core.time_counter import SearchConfig
+from repro.core.time_counter import SearchConfig, UnreachableNodes
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.topology import WSNTopology
 from repro.sim.broadcast import run_broadcast
 
 
@@ -83,6 +85,59 @@ class TestTimeCounterPolicies:
             opt = run_broadcast(topo, source, OptPolicy())
             gopt = run_broadcast(topo, source, GreedyOptPolicy())
             assert opt.latency <= gopt.latency
+
+
+class TestSingleCandidateFastPath:
+    """A decision with one admissible colour skips the M search."""
+
+    @staticmethod
+    def _via_select_color(policy, state, colors):
+        color, _ = policy.counter.select_color(state.covered, state.time, colors)
+        return Advance.from_color(
+            state.topology,
+            state.covered,
+            color,
+            state.time,
+            color_index=1,
+            num_colors=1,
+            note=policy.name,
+        )
+
+    @pytest.mark.parametrize("policy_cls", [OptPolicy, GreedyOptPolicy])
+    @pytest.mark.parametrize("rate", [None, 3])
+    def test_every_single_candidate_decision_matches_select_color(
+        self, small_deployment, policy_cls, rate
+    ):
+        topo, source = small_deployment
+        schedule = None if rate is None else WakeupSchedule(topo.node_ids, rate=rate, seed=5)
+        policy = policy_cls(search=SearchConfig(mode="beam", beam_width=4))
+        policy.prepare(topo, schedule, source)
+        scheme = ColorScheme(mode="greedy")
+        covered, time, checked = frozenset({source}), 1, 0
+        while covered != topo.node_set:
+            state = BroadcastState(topo, covered, time=time, schedule=schedule)
+            advance = policy.select_advance(state)
+            awake = None if schedule is None else schedule.awake_nodes(covered, time)
+            colors = scheme.color_classes(topo, covered, awake)
+            if len(colors) == 1 and advance is not None and advance.num_colors == 1:
+                assert advance == self._via_select_color(policy, state, colors)
+                checked += 1
+            if advance is not None:
+                covered |= advance.receivers
+            time += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("policy_cls", [OptPolicy, GreedyOptPolicy])
+    @pytest.mark.parametrize("duty", [False, True])
+    def test_disconnected_topology_still_raises(self, policy_cls, duty):
+        positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (9.0, 9.0), 3: (10.0, 9.0)}
+        topo = WSNTopology.from_edges([(0, 1), (2, 3)], positions)
+        schedule = WakeupSchedule(topo.node_ids, rate=1, seed=0) if duty else None
+        policy = policy_cls()
+        policy.prepare(topo, schedule, 0)
+        state = BroadcastState(topo, frozenset({0}), time=1, schedule=schedule)
+        with pytest.raises(UnreachableNodes, match="disconnected"):
+            policy.select_advance(state)
 
 
 class TestEModelPolicy:
