@@ -1,6 +1,6 @@
 """Exact minimum-latency broadcast by deterministic branch-and-bound.
 
-This is the always-available exact backend of the solver tiers
+This is the default exact backend of the solver tiers
 (:mod:`repro.solvers`): pure python, no solver library required.  The search
 walks schedules depth-first over states ``(W, t)`` and is exact thanks to
 two dominance properties of the paper's model (both hinge on coverage
@@ -36,7 +36,7 @@ pure: branching order is the sorted order of
 optimum-achieving leaf in that fixed depth-first order.  The ILP backend
 (:mod:`repro.solvers.ilp`) only ever supplies the optimal *value*; the plan
 is always extracted here, which is what makes exact-tier records
-bit-identical whether or not a solver library is installed.
+bit-identical whichever value backend is asked for.
 """
 
 from __future__ import annotations

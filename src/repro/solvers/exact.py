@@ -1,7 +1,8 @@
 """The exact-tier front door: optimal value + canonical plan.
 
 :func:`solve_broadcast` is what the solver policies call: it computes the
-optimal completion slot with the selected backend and then extracts the
+optimal completion slot with the selected backend (the pure-python
+branch-and-bound unless the ILP is asked for) and then extracts the
 canonical optimal plan with the deterministic deadline search of
 :mod:`repro.solvers.branch_bound`.  Because every backend is exact, the
 deadline — and therefore the extracted plan — is identical whichever
@@ -21,14 +22,15 @@ from repro.solvers.branch_bound import (
     flood_completion_bound,
     minimum_completion,
 )
-from repro.solvers.ilp import ilp_available, minimum_completion_ilp
+from repro.solvers.ilp import minimum_completion_ilp
 
 __all__ = ["solve_broadcast", "SOLVER_BACKENDS"]
 
-#: Value backends of the exact tier.  ``"auto"`` prefers the ILP when a
-#: solver library (scipy/HiGHS) is importable and falls back to the pure
-#: python branch-and-bound otherwise — the tier stays always-available.
-SOLVER_BACKENDS = ("auto", "branch-and-bound", "ilp")
+#: Value backends of the exact tier.  The pure-python branch-and-bound is
+#: the default: on every instance the tier accepts it is faster than the
+#: ILP and needs no solver library.  ``"ilp"`` (scipy/HiGHS) stays as an
+#: explicitly requested reference that the tests compare against.
+SOLVER_BACKENDS = ("branch-and-bound", "ilp")
 
 
 def solve_broadcast(
@@ -37,7 +39,7 @@ def solve_broadcast(
     *,
     schedule: WakeupSchedule | None = None,
     start_time: int = 1,
-    backend: str = "auto",
+    backend: str = "branch-and-bound",
     max_states: int = DEFAULT_MAX_STATES,
     covered: frozenset[int] | None = None,
 ) -> SolverPlan:
@@ -54,14 +56,12 @@ def solve_broadcast(
             f"unknown solver backend {backend!r}; expected one of {SOLVER_BACKENDS}"
         )
     initial = frozenset({source}) if covered is None else frozenset(covered)
-    use_ilp = backend == "ilp" or (backend == "auto" and ilp_available())
-    if use_ilp:
+    if backend == "ilp":
         optimum = minimum_completion_ilp(
             topology, initial, schedule=schedule, start_time=start_time
         )
         lower_bound = flood_completion_bound(topology, initial, start_time, schedule)
         explored = 0
-        backend_used = "ilp"
     else:
         optimum, lower_bound, explored = minimum_completion(
             topology,
@@ -70,7 +70,6 @@ def solve_broadcast(
             start_time=start_time,
             max_states=max_states,
         )
-        backend_used = "branch-and-bound"
     advances, extract_explored = extract_plan(
         topology,
         initial,
@@ -85,6 +84,6 @@ def solve_broadcast(
         optimum=optimum,
         lower_bound=start_time - 1 if lower_bound is None else lower_bound,
         advances=advances,
-        backend=backend_used,
+        backend=backend,
         explored=explored + extract_explored,
     )

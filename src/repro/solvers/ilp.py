@@ -1,14 +1,17 @@
 """Time-indexed ILP backend for the exact solver tier (scipy/HiGHS).
 
-When :mod:`scipy` is importable the exact tier can obtain the optimal
-completion *value* from a mixed-integer program solved by HiGHS
-(``scipy.optimize.milp``) instead of the pure-python branch-and-bound; the
-canonical *plan* is still extracted by
-:func:`repro.solvers.branch_bound.extract_plan`, so records never depend on
-which backend produced the value (the exact-solver determinism contract of
-``docs/solvers.md``).  Without scipy, :func:`ilp_available` returns False
-and the tier transparently falls back to the branch-and-bound — nothing is
-installed on demand.
+An explicitly requested reference backend
+(``solve_broadcast(..., backend="ilp")``): it obtains the optimal completion
+*value* from a mixed-integer program solved by HiGHS
+(``scipy.optimize.milp``), which the tests and ``benchmarks/test_solvers.py``
+compare against the default pure-python branch-and-bound.  The canonical
+*plan* is still extracted by :func:`repro.solvers.branch_bound.extract_plan`,
+so records never depend on which backend produced the value (the
+exact-solver determinism contract of ``docs/solvers.md``).  numpy and scipy
+are loaded on the first call to :func:`ilp_available` or
+:func:`minimum_completion_ilp`, never at import time, so importing
+:mod:`repro` or running the CLI does not pay for scipy.  Without scipy,
+:func:`ilp_available` returns False — nothing is installed on demand.
 
 Formulation (decision slots ``s_0 < … < s_{K-1}`` are the slots in
 ``[start_time, horizon]`` with at least one awake node):
@@ -36,26 +39,37 @@ the brute-force oracle on every instance of the small-``n`` grid.
 
 from __future__ import annotations
 
+from functools import cache
+from types import ModuleType
+
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
 from repro.solvers.branch_bound import SolverError, greedy_completion
 from repro.utils.validation import require
 
-try:  # gated dependency: scipy ships HiGHS; never installed on demand
-    import numpy as _np
-    from scipy import sparse as _sparse
-    from scipy.optimize import Bounds as _Bounds
-    from scipy.optimize import LinearConstraint as _LinearConstraint
-    from scipy.optimize import milp as _milp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _np = None
-
 __all__ = ["ilp_available", "minimum_completion_ilp"]
 
 
+@cache
+def _load_scipy() -> tuple[ModuleType, ModuleType] | None:
+    """``(numpy, scipy)`` with ``scipy.optimize`` and ``scipy.sparse`` loaded.
+
+    ``None`` when scipy is not importable: it is a gated dependency (it
+    ships HiGHS) and is never installed on demand.  Cached, so the import
+    is attempted once per process.
+    """
+    try:
+        import numpy
+        import scipy.optimize
+        import scipy.sparse
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
+    return numpy, scipy
+
+
 def ilp_available() -> bool:
-    """Whether the scipy/HiGHS MILP backend is importable."""
-    return _np is not None
+    """Whether the scipy/HiGHS MILP backend is importable (loads it if so)."""
+    return _load_scipy() is not None
 
 
 def minimum_completion_ilp(
@@ -73,10 +87,12 @@ def minimum_completion_ilp(
     feasible).  Raises :class:`SolverError` when scipy is unavailable, the
     topology is disconnected, or the solver fails.
     """
-    if not ilp_available():
+    loaded = _load_scipy()
+    if loaded is None:
         raise SolverError(
             "the ILP backend needs scipy (HiGHS); use the branch-and-bound tier"
         )
+    np, scipy = loaded
     require(start_time >= 1, "start_time is 1-based")
     full = topology.node_set
     if covered == full:
@@ -138,8 +154,8 @@ def minimum_completion_ilp(
         upper.append(ub)
         row += 1
 
-    lower_var = _np.zeros(num_vars)
-    upper_var = _np.ones(num_vars)
+    lower_var = np.zeros(num_vars)
+    upper_var = np.ones(num_vars)
     for v in covered:
         for k in range(num_slots):
             lower_var[c_index[(v, k)]] = 1.0  # initially covered stay covered
@@ -192,20 +208,20 @@ def minimum_completion_ilp(
                         terms.append((before, -1.0))
                     add(terms, bound)
 
-    matrix = _sparse.csr_matrix(
+    matrix = scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(row, num_vars)
     )
-    constraints = _LinearConstraint(matrix, ub=_np.asarray(upper))
-    objective = _np.zeros(num_vars)
+    constraints = scipy.optimize.LinearConstraint(matrix, ub=np.asarray(upper))
+    objective = np.zeros(num_vars)
     objective[z_offset:] = -1.0  # maximise the number of complete slots
-    integrality = _np.zeros(num_vars)
+    integrality = np.zeros(num_vars)
     integrality[:num_x] = 1
     integrality[z_offset:] = 1
-    result = _milp(
+    result = scipy.optimize.milp(
         c=objective,
         constraints=constraints,
         integrality=integrality,
-        bounds=_Bounds(lb=lower_var, ub=upper_var),
+        bounds=scipy.optimize.Bounds(lb=lower_var, ub=upper_var),
     )
     if not result.success:  # pragma: no cover - horizon is always feasible
         raise SolverError(f"HiGHS failed on the exact-tier MILP: {result.message}")

@@ -35,11 +35,10 @@ __all__ = ["ExactPolicy", "BranchAndBoundPolicy"]
 class ExactPolicy(SchedulingPolicy):
     """Optimal minimum-latency broadcast as a planned policy.
 
-    Uses the ILP value backend when a solver library is importable and the
-    pure-python branch-and-bound otherwise; the replayed plan is the
-    canonical optimal plan either way (the exact-solver determinism
-    contract), so traces and records never depend on the installed
-    libraries, the engine backend or the worker count.
+    Solves with the pure-python branch-and-bound and replays the canonical
+    optimal plan (the exact-solver determinism contract), so traces and
+    records never depend on the installed libraries, the engine backend or
+    the worker count.
     """
 
     name = "exact"
@@ -51,8 +50,6 @@ class ExactPolicy(SchedulingPolicy):
     #: along its own trajectory (idling is dominated), so idle-slot
     #: skipping by the vectorized engine is trace-preserving.
     frontier_driven = True
-
-    _backend = "auto"
 
     def __init__(self, *, max_states: int = DEFAULT_MAX_STATES) -> None:
         self._max_states = max_states
@@ -82,13 +79,15 @@ class ExactPolicy(SchedulingPolicy):
         self._times = []
 
     def _solve(self, state: BroadcastState) -> None:
-        assert self._source is not None
+        if self._source is None:
+            raise RuntimeError(
+                f"{type(self).__name__} needs prepare() before solving a plan"
+            )
         plan = solve_broadcast(
             state.topology,
             self._source,
             schedule=state.schedule,
             start_time=state.time,
-            backend=self._backend,
             max_states=self._max_states,
             covered=state.covered,
         )
@@ -143,13 +142,11 @@ class ExactPolicy(SchedulingPolicy):
 
 
 class BranchAndBoundPolicy(ExactPolicy):
-    """The exact tier pinned to the pure-python branch-and-bound backend.
+    """The exact tier under the name of its backend.
 
-    Identical plans and records to :class:`ExactPolicy` (both backends are
-    exact and the canonical plan extraction is shared); exists so the
-    always-available fallback is exercised and benchmarked even where a
-    solver library is importable.
+    Identical plans and records to :class:`ExactPolicy` apart from the
+    policy name; both names appear in records and on the CLI, so both stay
+    selectable.
     """
 
     name = "branch-and-bound"
-    _backend = "branch-and-bound"

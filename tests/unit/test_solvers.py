@@ -11,8 +11,14 @@ which value backend produced the optimum (the determinism contract of
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.policies import EModelPolicy, GreedyOptPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.deployment import DeploymentConfig, deploy_uniform
@@ -20,6 +26,7 @@ from repro.network.topology import WSNTopology
 from repro.sim.broadcast import run_broadcast
 from repro.sim.links import IndependentLossLinks
 from repro.solvers import (
+    DEFAULT_MAX_STATES,
     SOLVER_TIERS,
     BranchAndBoundPolicy,
     ExactPolicy,
@@ -45,12 +52,14 @@ def _line(num_nodes: int) -> WSNTopology:
     )
 
 
-def _sparse(num_nodes: int, seed: int) -> tuple[WSNTopology, int]:
+def _sparse(
+    num_nodes: int, seed: int, area_side: float = 16.0
+) -> tuple[WSNTopology, int]:
     """A sparse connected deployment where interference actually bites
     (the flood bound is not tight, so the branch-and-bound must search)."""
     config = DeploymentConfig(
         num_nodes=num_nodes,
-        area_side=16.0,
+        area_side=area_side,
         radius=6.0,
         source_min_ecc=2,
         source_max_ecc=None,
@@ -77,6 +86,16 @@ def _small_instances() -> list[tuple[str, WSNTopology, int]]:
 GRID = _small_instances()
 GRID_IDS = [name for name, _, _ in GRID]
 SYSTEMS = ("sync", "duty")
+
+#: Instances up to the exact tiers' 16-node limit, too large to brute-force.
+#: The 12- and 16-node flood bounds are loose in at least one system, so the
+#: search must branch there; the 14-node instance is the deepest (source
+#: eccentricity 7).
+LIMIT_GRID = [
+    (f"sparse-{num_nodes}-s{seed}", *_sparse(num_nodes, seed, area_side))
+    for num_nodes, area_side, seed in ((12, 22.0, 11), (14, 24.0, 2), (16, 26.0, 8))
+]
+LIMIT_GRID_IDS = [name for name, _, _ in LIMIT_GRID]
 
 
 def _schedule_for(topology: WSNTopology, system: str) -> WakeupSchedule | None:
@@ -116,17 +135,21 @@ class TestExactValueMatchesOracle:
         assert minimum_completion_ilp(topology, covered, schedule=schedule) == optimum
 
 
+on_grid = pytest.mark.parametrize("name,topology,source", GRID, ids=GRID_IDS)
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
-@pytest.mark.parametrize("name,topology,source", GRID, ids=GRID_IDS)
 class TestDeterminismContract:
+    @pytest.mark.parametrize(
+        "name,topology,source", GRID + LIMIT_GRID, ids=GRID_IDS + LIMIT_GRID_IDS
+    )
     def test_plan_is_backend_independent(self, name, topology, source, system):
         """Any exact value backend yields the identical canonical plan."""
         schedule = _schedule_for(topology, system)
-        plan_bb = solve_broadcast(
-            topology, source, schedule=schedule, backend="branch-and-bound"
-        )
+        plan_bb = solve_broadcast(topology, source, schedule=schedule)
         assert plan_bb.backend == "branch-and-bound"
         assert plan_bb.lower_bound <= plan_bb.optimum
+        assert plan_bb.explored < DEFAULT_MAX_STATES
         if ilp_available():
             plan_ilp = solve_broadcast(
                 topology, source, schedule=schedule, backend="ilp"
@@ -135,6 +158,7 @@ class TestDeterminismContract:
             assert plan_ilp.optimum == plan_bb.optimum
             assert plan_ilp.advances == plan_bb.advances
 
+    @on_grid
     def test_plan_replays_bit_identically_on_both_engines(
         self, name, topology, source, system
     ):
@@ -158,27 +182,29 @@ class TestDeterminismContract:
         assert reference == vectorized
         assert reference.covered == topology.node_set
 
-    def test_exact_and_pinned_fallback_produce_equal_traces(
+    @on_grid
+    def test_exact_and_branch_and_bound_tiers_produce_equal_traces(
         self, name, topology, source, system
     ):
         schedule = _schedule_for(topology, system)
-        auto = run_broadcast(
+        exact = run_broadcast(
             topology,
             source,
             ExactPolicy(),
             schedule=schedule,
             align_start=schedule is not None,
         )
-        pinned = run_broadcast(
+        branch_and_bound = run_broadcast(
             topology,
             source,
             BranchAndBoundPolicy(),
             schedule=schedule,
             align_start=schedule is not None,
         )
-        assert auto.advances == pinned.advances
-        assert auto.latency == pinned.latency
+        assert exact.advances == branch_and_bound.advances
+        assert exact.latency == branch_and_bound.latency
 
+    @on_grid
     def test_replayed_latency_never_beaten_by_heuristics(
         self, name, topology, source, system
     ):
@@ -243,8 +269,9 @@ class TestSolverEdges:
 
     def test_unknown_backend_is_rejected(self):
         topology = _line(4)
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            solve_broadcast(topology, 0, backend="simplex")
+        for backend in ("simplex", "auto"):
+            with pytest.raises(ValueError, match="unknown solver backend"):
+                solve_broadcast(topology, 0, backend=backend)
 
     def test_line_optimum_is_the_eccentricity(self):
         """Hand-checkable: on a line, one hop per slot is optimal (sync)."""
@@ -262,6 +289,13 @@ class TestSolverPolicies:
         state = BroadcastState(topology, frozenset({0}), time=1)
         with pytest.raises(RuntimeError, match="prepare"):
             ExactPolicy().select_advance(state)
+
+    def test_solve_requires_prepare(self):
+        from repro.core.advance import BroadcastState
+
+        state = BroadcastState(_line(5), frozenset({0}), time=1)
+        with pytest.raises(RuntimeError, match="prepare"):
+            ExactPolicy()._solve(state)
 
     def test_plan_exposed_after_first_decision(self):
         topology = _line(5)
@@ -328,3 +362,34 @@ class TestSolverRegistry:
         assert SOLVER_TIERS["26-approx"].systems == ("sync",)
         for name in ("exact", "branch-and-bound", "heuristic"):
             assert SOLVER_TIERS[name].systems == ("sync", "duty")
+
+
+#: Runs in a fresh interpreter: the CLI import plus a one-repetition n=6
+#: ratio study, after which scipy must still be unloaded.
+LAZY_IMPORT_PROBE = """
+import dataclasses, sys
+import repro.experiments.cli as cli
+from repro.experiments import figures
+from repro.experiments.config import RATIO_SWEEP
+cli.build_parser()
+figures.figure_ratio(dataclasses.replace(RATIO_SWEEP, node_counts=(6,), repetitions=1))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_and_ratio_study_never_load_scipy():
+    """The exact tier runs without scipy; only an explicit ILP request loads it."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip().splitlines()[-1] == "[]"
