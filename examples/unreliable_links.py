@@ -13,26 +13,27 @@ stays in the uncovered set and is served by a later advance.  This example
 * attaches the first-order radio energy model to the traces so the latency /
   energy trade-off of retransmissions is visible.
 
-Losses run through the composable simulation core
-(``run_broadcast(..., link_model=IndependentLossLinks(p, seed=s))``), so
-``--engine vectorized`` runs the same sweep on the numpy bitset backend
-with bit-identical results.
+Losses run through the ordinary simulation core:
+``run_broadcast(..., link_model=IndependentLossLinks(p, seed=s))``.
 
 Run it with::
 
-    python examples/unreliable_links.py [--nodes 100] [--max-loss 0.4] \
-        [--engine vectorized]
+    python examples/unreliable_links.py [--nodes 100] [--max-loss 0.4]
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro import EModelPolicy, LocalizedEModelPolicy, deploy_uniform
-from repro.sim.broadcast import ENGINE_BACKENDS
+from repro import (
+    EModelPolicy,
+    IndependentLossLinks,
+    LocalizedEModelPolicy,
+    deploy_uniform,
+    run_broadcast,
+)
 from repro.sim.energy import EnergyModel, energy_of_broadcast
 from repro.sim.render import render_schedule_timeline, render_topology_ascii
-from repro.sim.unreliable import run_lossy_broadcast
 from repro.utils.format import format_table
 
 
@@ -42,9 +43,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=23)
     parser.add_argument("--max-loss", type=float, default=0.4)
     parser.add_argument("--steps", type=int, default=5)
-    parser.add_argument(
-        "--engine", choices=sorted(ENGINE_BACKENDS), default="reference"
-    )
     args = parser.parse_args()
 
     topology, source = deploy_uniform(num_nodes=args.nodes, seed=args.seed)
@@ -62,13 +60,13 @@ def main() -> None:
         ("localized-E", LocalizedEModelPolicy),
     ):
         for probability in probabilities:
-            result = run_lossy_broadcast(
+            result = run_broadcast(
                 topology,
                 source,
                 policy_factory(),
-                loss_probability=probability,
-                seed=args.seed + int(probability * 1000),
-                engine=args.engine,
+                link_model=IndependentLossLinks(
+                    probability, seed=args.seed + int(probability * 1000)
+                ),
             )
             report = energy_of_broadcast(topology, result, energy_model)
             rows.append(

@@ -130,12 +130,13 @@ def greedy_color_classes(
     return [frozenset(c) for c in classes]
 
 
-# Greedy classes keyed on (covered, awake) per topology: batched lanes that
-# share a topology (replicated cells, repeated decision states along one
-# trajectory) reach identical (W, awake) states, and the classes depend on
-# nothing else.  The WeakKeyDictionary drops a topology's entries with the
-# topology itself; the per-topology cap bounds the worst case (every slot a
-# distinct awake set) without evicting the hot single-topology reuse.
+# Greedy classes keyed on (covered, awake) per topology: broadcasts that
+# share a topology (the policies of one sweep cell, repeated decision states
+# along one trajectory) reach identical (W, awake) states, and the classes
+# depend on nothing else.  The WeakKeyDictionary drops a topology's entries
+# with the topology itself; the per-topology cap bounds the worst case
+# (every slot a distinct awake set) without evicting the hot single-topology
+# reuse.
 _GREEDY_CLASS_CACHE: WeakKeyDictionary[WSNTopology, dict] = WeakKeyDictionary()
 _GREEDY_CLASS_CACHE_CAP = 4096
 
@@ -148,10 +149,10 @@ def cached_greedy_color_classes(
     """Memoized :func:`greedy_color_classes` (identical result, shared work).
 
     The decision-level colourings of the time-counter and E-model policies
-    are pure in ``(topology, covered, awake)``; caching them lets lanes of a
-    batched stripe that share a topology reuse each other's colourings (and
-    a single broadcast reuse the colouring of a slot it revisits after idle
-    slots).  Callers must treat the returned list as immutable.
+    are pure in ``(topology, covered, awake)``; caching them lets broadcasts
+    that share a topology reuse each other's colourings (and a single
+    broadcast reuse the colouring of a slot it revisits after idle slots).
+    Callers must treat the returned list as immutable.
     """
     per_topology = _GREEDY_CLASS_CACHE.get(topology)
     if per_topology is None:

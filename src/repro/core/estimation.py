@@ -110,13 +110,11 @@ class EdgeEstimate:
 
 
 def _edge_weight(
-    mode: Literal["sync", "duty"],
     schedule: WakeupSchedule | None,
     weight: Literal["expected", "unit"],
 ) -> float:
-    if mode == "sync" or weight == "unit":
+    if schedule is None or weight == "unit":
         return 1.0
-    assert schedule is not None
     return expected_cwt(schedule.rate)
 
 
@@ -146,7 +144,7 @@ def build_edge_estimate(
         :func:`repro.network.boundary.boundary_nodes`).
     """
     mode: Literal["sync", "duty"] = "duty" if schedule is not None else "sync"
-    step = _edge_weight(mode, schedule, weight)
+    step = _edge_weight(schedule, weight)
     edge_nodes = frozenset(boundary) if boundary is not None else boundary_nodes(topology)
 
     estimates: dict[int, list[float]] = {

@@ -99,7 +99,6 @@ class LocalizedEModelPolicy(SchedulingPolicy):
     """
 
     name = "localized-E"
-    frontier_driven = True
 
     def __init__(
         self,
@@ -126,22 +125,27 @@ class LocalizedEModelPolicy(SchedulingPolicy):
         schedule: WakeupSchedule | None,
         source: int,
     ) -> None:
-        rebuild = (
+        if (
             self._estimate is None
             or self._topology is not topology
             or self._schedule is not schedule
-        )
-        if rebuild:
-            self._topology = topology
-            self._schedule = schedule
-            self._estimate = build_edge_estimate(topology, schedule, weight=self._weight)
+        ):
+            self._bind(topology, schedule)
+
+    def _bind(
+        self, topology: WSNTopology, schedule: WakeupSchedule | None
+    ) -> EdgeEstimate:
+        self._topology = topology
+        self._schedule = schedule
+        self._estimate = build_edge_estimate(topology, schedule, weight=self._weight)
+        return self._estimate
 
     def select_advance(self, state: BroadcastState) -> Advance | None:
         if state.is_complete:
             return None
-        if self._estimate is None or self._topology is not state.topology:
-            self.prepare(state.topology, state.schedule, source=-1)
-        assert self._estimate is not None
+        estimate = self._estimate
+        if estimate is None or self._topology is not state.topology:
+            estimate = self._bind(state.topology, state.schedule)
 
         awake = None
         if state.schedule is not None:
@@ -150,7 +154,7 @@ class LocalizedEModelPolicy(SchedulingPolicy):
         if not candidates:
             return None
         winners = local_contention_winners(
-            state.topology, state.covered, candidates, self._estimate
+            state.topology, state.covered, candidates, estimate
         )
         return Advance.from_color(
             state.topology,

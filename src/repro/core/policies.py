@@ -19,9 +19,9 @@ exercised through identical machinery.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Literal, Sequence
+from typing import Literal
 
-from repro.core.advance import Advance, BroadcastState, LaneStateView
+from repro.core.advance import Advance, BroadcastState
 from repro.core.coloring import ColorScheme, cached_greedy_color_classes
 from repro.core.estimation import EdgeEstimate, build_edge_estimate
 from repro.core.time_counter import SearchConfig, TimeCounter
@@ -67,27 +67,6 @@ class SchedulingPolicy(ABC):
     #: link models instead of timing out minutes later.
     loss_tolerant: bool = True
 
-    #: Whether the policy is *frontier-driven*: it returns ``None`` (with no
-    #: state change) whenever no covered node with an uncovered neighbour is
-    #: awake at the current slot.  Declaring this lets the vectorized slot
-    #: engine jump over such idle slots without invoking the policy, which
-    #: is trace-preserving for policies that keep the promise.  The default
-    #: is the fail-safe False — every slot is offered — because a subclass
-    #: may legally emit advances with no uncovered receivers (the layered
-    #: 17-approximation does exactly that when another parent already
-    #: covered a node's children) or mutate per-call state.  The frontier
-    #: schedulers of this package (OPT, G-OPT, E-model, flooding,
-    #: largest-first) opt in explicitly.
-    frontier_driven: bool = False
-
-    #: Whether the policy's *batched* decider reads the stacked
-    #: uncovered-degree rows (``LaneStateView.uncovered_degree``).  The
-    #: batched executor tracks that state for any lane whose policy either
-    #: skips idle duty-cycle slots (``frontier_driven`` with a schedule) or
-    #: sets this flag; the flooding baseline opts in so its frontier mask is
-    #: one stacked comparison even for synchronous batches.
-    batch_frontier: bool = False
-
     def prepare(
         self,
         topology: WSNTopology,
@@ -99,47 +78,15 @@ class SchedulingPolicy(ABC):
     def next_decision_slot(self, time: int) -> int | None:
         """Earliest slot >= ``time`` at which the policy might transmit.
 
-        A fast-forward hint honoured by every engine backend: returning
-        ``s`` is a promise that :meth:`select_advance` answers ``None`` for
-        every slot in ``[time, s)``, so an engine may jump straight to ``s``
-        without offering the intermediate slots (the batched executor feeds
-        the hint into its min-heap of lane wake times).  Returning ``None``
-        (the default) makes no promise — every slot is offered as usual.
+        A fast-forward hint honoured by the engines: returning ``s`` is a
+        promise that :meth:`select_advance` answers ``None`` for every slot
+        in ``[time, s)``, so the engine may jump straight to ``s`` without
+        offering the intermediate slots.  Returning ``None`` (the default)
+        makes no promise — every slot is offered as usual.
         Policies that precompute their transmission times (replays, the
         exact tiers, the layer-schedule baselines) override this.
         """
         return None
-
-    def select_advance_batch(
-        self, views: "Sequence[LaneStateView]"
-    ) -> "list[Advance | None]":
-        """Batched decision point: one advance (or ``None``) per lane view.
-
-        The batched executor groups its lanes by policy class and calls
-        this once per group per macro-slot instead of ``select_advance``
-        once per lane.  The default implementation *is* the per-lane
-        fallback — it dispatches ``select_advance`` on each view — so a
-        policy without a vectorized decider behaves identically under
-        either path.
-
-        Contract for overrides:
-
-        * decisions must be **lane-independent** — lane ``i``'s advance may
-          depend only on ``views[i]``, never on the other lanes, so any
-          lane grouping or batch size yields bit-identical traces (the
-          conformance suites pin the batched path against the fallback);
-        * a mixed group passes views of *different instances* (the engine
-          groups by class), so overrides must consult ``view.policy``
-          rather than ``self``;
-        * the returned list is parallel to ``views`` (same length, same
-          order).
-
-        Direct callers may also pass plain :class:`BroadcastState` objects
-        (which carry no ``policy``); the default then decides with ``self``.
-        """
-        return [
-            getattr(view, "policy", self).select_advance(view) for view in views
-        ]
 
     @abstractmethod
     def select_advance(self, state: BroadcastState) -> Advance | None:
@@ -156,10 +103,6 @@ class SchedulingPolicy(ABC):
 
 class _TimeCounterPolicy(SchedulingPolicy):
     """Shared implementation of the two ``M``-driven schedulers."""
-
-    #: Colours come from the (awake) frontier only, so an idle frontier slot
-    #: always yields ``None`` with no state change.
-    frontier_driven = True
 
     #: Colour provider used at the decision point (top level of Eq. 5/7).
     _decision_scheme: ColorScheme
@@ -236,9 +179,9 @@ class _TimeCounterPolicy(SchedulingPolicy):
             awake = state.schedule.awake_nodes(state.covered, state.time)
         if self._decision_scheme.mode == "greedy":
             # Decision-level greedy colourings are pure in (topology, W,
-            # awake), so lanes of a batched stripe sharing a topology reuse
-            # them; the recursive evaluation of M keeps its own uncached
-            # scheme (its state space would swamp the cache).
+            # awake), so broadcasts sharing a topology reuse them; the
+            # recursive evaluation of M keeps its own uncached scheme (its
+            # state space would swamp the cache).
             colors = cached_greedy_color_classes(
                 state.topology, state.covered, awake
             )
@@ -340,7 +283,6 @@ class EModelPolicy(SchedulingPolicy):
     """
 
     name = "E-model"
-    frontier_driven = True
 
     def __init__(
         self,

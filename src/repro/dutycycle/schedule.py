@@ -22,7 +22,7 @@ cycle aggressively while battery nodes sleep most of the time.
 :class:`WakeupSchedule` therefore accepts an optional per-node ``rates``
 mapping that overrides the base rate node by node; every query API
 (:meth:`~WakeupSchedule.is_active`, :meth:`~WakeupSchedule.next_active_slot`,
-:meth:`~WakeupSchedule.activity_window`, ...) is rate-agnostic.  Named rate
+:meth:`~WakeupSchedule.awake_nodes`, ...) is rate-agnostic.  Named rate
 *assignment models* (two-tier, zipf, ...) live in
 :mod:`repro.dutycycle.models`.  Worst-case bounds (simulation caps, search
 horizons) must use :attr:`WakeupSchedule.max_rate` — the slowest node's
@@ -36,8 +36,6 @@ schedules built from the same seed agree on every node they share.
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.validation import require
@@ -286,29 +284,6 @@ class WakeupSchedule:
         if horizon < 1:
             return []
         return self._sequences[node_id].active_slots_until(horizon)
-
-    def activity_window(
-        self, node_ids: Sequence[int], start: int, stop: int
-    ) -> np.ndarray:
-        """Activity as a boolean matrix over a slot window (vectorized view).
-
-        Row ``i`` follows ``node_ids[i]`` (callers pick the row order, e.g.
-        the vectorized engine passes rows in topology-index order); column
-        ``j`` is slot ``start + j``; ``stop`` is inclusive.  Entry
-        ``(i, j)`` is ``True`` iff ``start + j`` is in ``T(node_ids[i])``,
-        i.e. exactly :meth:`is_active` evaluated pointwise.  The per-node
-        lazy sequences are materialised (and cached) up to ``stop``.
-        """
-        require(start >= 1, "slots are 1-based")
-        width = stop - start + 1
-        out = np.zeros((len(node_ids), max(width, 0)), dtype=bool)
-        if width <= 0:
-            return out
-        for row, node_id in enumerate(node_ids):
-            for slot in self._sequences[node_id].active_slots_until(stop):
-                if slot >= start:
-                    out[row, slot - start] = True
-        return out
 
     def iter_active(self, node_id: int, start: int = 1) -> Iterator[int]:
         """Yield active slots of ``node_id`` from ``start`` onwards (infinite)."""

@@ -14,7 +14,7 @@ Run a duty-cycle sweep on a non-uniform deployment scenario (the default
 target is ``sweep``; records print as CSV and are bit-identical for any
 ``--workers`` value)::
 
-    mlbs-experiments --scenario clustered --engine vectorized --workers 2
+    mlbs-experiments --scenario clustered --workers 2
     mlbs-experiments --scenario ring --duty-model two-tier --rate 50
 
 Compare every policy across all registered scenarios::
@@ -24,7 +24,7 @@ Compare every policy across all registered scenarios::
 Exercise the §VI robustness axis — a single lossy sweep, or the full
 reliability figure (latency + retransmissions vs loss probability)::
 
-    mlbs-experiments --loss 0.2 --engine vectorized
+    mlbs-experiments --loss 0.2
     mlbs-experiments reliability --loss 0.0,0.1,0.3
 
 Run the multi-source workload — a single sweep with ``k`` concurrent
@@ -106,6 +106,7 @@ from repro.experiments.runner import SweepResult, run_sweep, sweep_cells
 from repro.fabric import (
     DEFAULT_LEASE_TTL,
     FabricCoordinator,
+    FabricError,
     FabricHTTPServer,
     FabricWorker,
     HttpTransport,
@@ -114,8 +115,6 @@ from repro.fabric import (
 from repro.network.sources import placement_names
 from repro.obs import EVENT_BUS, JsonlTraceSink, SweepMonitor
 from repro.scenarios import list_scenarios, scenario_names
-from repro.sim.batched import BatchProfile
-from repro.sim.broadcast import ENGINE_BACKENDS
 from repro.sim.links import link_model_names
 from repro.solvers import solver_catalog, solver_names
 from repro.store import ExperimentStore, open_store, store_backend_names
@@ -160,9 +159,12 @@ def _parse_loss(text: str) -> tuple[float, ...]:
         ) from None
     if not values:
         raise argparse.ArgumentTypeError("at least one loss probability is required")
-    bad = [v for v in values if not 0.0 <= v <= 1.0]
+    bad = [v for v in values if not 0.0 <= v < 1.0]
     if bad:
-        raise argparse.ArgumentTypeError(f"loss probabilities must be in [0, 1]: {bad}")
+        raise argparse.ArgumentTypeError(
+            f"loss probabilities must be in [0, 1) (at 1 no delivery ever "
+            f"succeeds): {bad}"
+        )
     return values
 
 
@@ -273,22 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="parallel worker processes for the sweeps (0 = one per CPU; default 1)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=sorted(ENGINE_BACKENDS),
-        default=None,
-        help="simulation backend (default: reference; all are bit-identical)",
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "lane cap per stacked batch of the batched engine's stripe "
-            "executor (0 = whole stripe at once; ignored by other engines)"
-        ),
     )
     parser.add_argument(
         "--loss",
@@ -497,16 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "report the batched engine's timing split (stacked kernels / "
-            "policy decisions / bookkeeping) for the 'sweep' target; forces "
-            "in-process execution and requires --engine batched on a "
-            "stripe-eligible sweep (single-source, heuristic solver)"
-        ),
-    )
-    parser.add_argument(
         "--list-scenarios",
         action="store_true",
         help="print the registered deployment scenarios and exit",
@@ -543,10 +519,6 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
         config = dataclasses.replace(config, node_counts=args.nodes)
     if args.workers is not None:
         config = dataclasses.replace(config, workers=args.workers)
-    if args.engine is not None:
-        config = dataclasses.replace(config, engine=args.engine)
-    if args.batch is not None:
-        config = dataclasses.replace(config, batch=args.batch)
     if args.scenario is not None:
         config = dataclasses.replace(config, scenario=args.scenario)
     if args.duty_model is not None:
@@ -577,23 +549,6 @@ def _format_catalog(title: str, entries: list[tuple[str, str, dict]]) -> str:
             rendered = ", ".join(f"{k}={v}" for k, v in sorted(defaults.items()))
             lines.append(f"  {'':<{width}}  defaults: {rendered}")
     return "\n".join(lines)
-
-
-def _profile_line(profile: BatchProfile) -> str:
-    """One-line batched-engine timing split for the sweep header."""
-    if profile.macro_steps == 0:
-        return (
-            "profile: no batched stripes ran (needs --engine batched on a "
-            "stripe-eligible sweep with uncached cells)"
-        )
-    return (
-        f"profile: kernel {profile.kernel_s * 1e3:.1f} ms | "
-        f"policy decisions {profile.decide_s * 1e3:.1f} ms | "
-        f"bookkeeping {profile.bookkeeping_s * 1e3:.1f} ms "
-        f"(total {profile.total_s * 1e3:.1f} ms over "
-        f"{profile.macro_steps} macro-steps, "
-        f"{profile.lanes_decided} decisions, {profile.advances} advances)"
-    )
 
 
 def _emit(name: str, text: str, csv: str | None, csv_dir: Path | None) -> None:
@@ -712,7 +667,7 @@ def _run_fabric(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             f"{stats.transport_errors} transport errors)"
         )
         return 0
-    except TransportError as error:
+    except (TransportError, FabricError) as error:
         print(f"fabric {args.action}: {error}", file=sys.stderr)
         return 1
     finally:
@@ -941,7 +896,6 @@ def main(argv: list[str] | None = None) -> int:
                 if held != len(checks):
                     exit_code = 1
             elif target == "sweep":
-                profile = BatchProfile() if args.profile else None
                 trace_sink = (
                     EVENT_BUS.attach(JsonlTraceSink(args.trace))
                     if args.trace is not None
@@ -955,7 +909,6 @@ def main(argv: list[str] | None = None) -> int:
                         store=store,
                         resume=args.resume,
                         progress=_progress if store is not None else None,
-                        profile=profile,
                     )
                 finally:
                     if trace_sink is not None:
@@ -966,7 +919,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"sweep: scenario={config.scenario} duty_model={config.duty_model} "
                     f"link_model={config.link_model} loss={config.loss_probability} "
                     f"sources={config.n_sources} placement={config.source_placement} "
-                    f"system={sweep.system} rate={sweep.rate} engine={config.engine} "
+                    f"system={sweep.system} rate={sweep.rate} "
                     f"records={len(sweep.records)}"
                 )
                 if store is not None:
@@ -976,8 +929,6 @@ def main(argv: list[str] | None = None) -> int:
                         f"\nstore: {sweep.cache_hits} hits / "
                         f"{sweep.cache_misses} misses ({cached:.0f}% cached)"
                     )
-                if profile is not None:
-                    header += f"\n{_profile_line(profile)}"
                 if trace_sink is not None:
                     header += (
                         f"\ntrace: {trace_sink.written} events -> {args.trace}"

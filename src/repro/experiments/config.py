@@ -27,10 +27,9 @@ from repro.core.time_counter import SearchConfig
 from repro.dutycycle.models import duty_model_names
 from repro.network.sources import placement_names
 from repro.scenarios import scenario_names
-from repro.sim.broadcast import ENGINE_BACKENDS
 from repro.sim.links import link_model_names
 from repro.solvers.registry import SOLVER_TIERS, solver_names
-from repro.utils.validation import check_probability, require
+from repro.utils.validation import check_loss_probability, require
 
 __all__ = [
     "ExperimentScale",
@@ -43,15 +42,13 @@ __all__ = [
     "CELL_KEY_EXCLUDED_FIELDS",
 ]
 
-#: Config fields that never enter a cell's content digest.  ``engine`` and
-#: ``workers`` only change *how fast* a cell is simulated (the records are
+#: Config fields that never enter a cell's content digest.  ``workers``
+#: only changes *how fast* a cell is simulated (the records are
 #: bit-identical by the determinism contract), and the grid shape
 #: (``node_counts``, ``repetitions``) is replaced by the cell's own
 #: coordinates — so extending a grid with more node counts or repetitions
 #: leaves every existing cell's digest (and cached records) intact.
-CELL_KEY_EXCLUDED_FIELDS = frozenset(
-    {"engine", "workers", "batch", "node_counts", "repetitions"}
-)
+CELL_KEY_EXCLUDED_FIELDS = frozenset({"workers", "node_counts", "repetitions"})
 
 #: Environment variable selecting the benchmark scale ("quick" or "paper").
 SCALE_ENV_VAR = "REPRO_BENCH_SCALE"
@@ -87,23 +84,9 @@ class SweepConfig:
         Enumeration cap of the OPT policy's admissible colours.
     duty_rates:
         Cycle rates used by the duty-cycle figures (10 = heavy, 50 = light).
-    engine:
-        Simulation backend from :data:`repro.sim.ENGINE_BACKENDS`:
-        ``"reference"`` (frozenset/bigint oracle), ``"vectorized"`` (numpy
-        bitset fast path) or ``"batched"`` (stacked multi-lane kernel; the
-        sweep runner additionally executes whole same-node-count grid
-        stripes in one batch).  All backends produce bit-identical traces.
     workers:
         Worker processes for the sweep runner; 1 runs in-process, 0 means
         "one per CPU".
-    batch:
-        Lane cap per stacked batch of the ``"batched"`` engine's stripe
-        executor (:mod:`repro.sim.batched`): ``0`` stacks a whole
-        same-node-count stripe at once, ``k > 0`` chunks it into batches of
-        at most ``k`` broadcasts.  Like ``engine`` and ``workers`` this is
-        pure execution shape — the records are bit-identical for every
-        value — so it stays out of the store's cell keys.  Ignored by the
-        per-cell engines.
     scenario:
         Named deployment generator from the :mod:`repro.scenarios` registry
         (``"uniform"`` is the paper's workload; ``--list-scenarios`` on the
@@ -116,12 +99,13 @@ class SweepConfig:
         Named delivery model from :data:`repro.sim.links.LINK_MODELS`
         (``"reliable"`` is the paper's model; ``"independent-loss"``
         enables the §VI robustness axis).  Orthogonal to every other axis:
-        any combination of (scenario, duty_model, engine, workers,
-        link_model) yields bit-identical records.
+        any combination of (scenario, duty_model, workers, link_model)
+        yields bit-identical records.
     loss_probability:
-        Per-link delivery failure probability for ``"independent-loss"``
-        (must stay 0.0 for ``"reliable"``).  Every cell derives its own
-        loss-RNG seed by splitting the cell seed on ``"link-loss"``.
+        Per-link delivery failure probability for ``"independent-loss"``,
+        in ``[0, 1)`` (must stay 0.0 for ``"reliable"``).  Every cell
+        derives its own loss-RNG seed by splitting the cell seed on
+        ``"link-loss"``.
     n_sources:
         Number of concurrent broadcast messages per cell (the multi-source
         workload).  ``1`` is the paper's single-source broadcast and keeps
@@ -134,7 +118,7 @@ class SweepConfig:
         deployment's eccentricity-vetted source (``"random"``, ``"spread"``
         or ``"corner"``); ignored for ``n_sources=1``.  Each cell derives
         its placement seed by splitting the cell seed on ``"multi-source"``,
-        so records stay bit-identical for any worker count and engine.
+        so records stay bit-identical for any worker count.
     solver:
         Named tier from :data:`repro.solvers.SOLVER_TIERS` added to the
         policy line-up of every sweep (``--list-solvers`` on the CLI prints
@@ -160,9 +144,7 @@ class SweepConfig:
     )
     max_color_classes: int | None = 32
     duty_rates: tuple[int, ...] = (10, 50)
-    engine: str = "reference"
     workers: int = 1
-    batch: int = 0
     scenario: str = "uniform"
     duty_model: str = "uniform"
     link_model: str = "reliable"
@@ -175,12 +157,7 @@ class SweepConfig:
         require(len(self.node_counts) > 0, "node_counts must not be empty")
         require(all(n >= 2 for n in self.node_counts), "node counts must be >= 2")
         require(self.repetitions >= 1, "repetitions must be >= 1")
-        require(
-            self.engine in ENGINE_BACKENDS,
-            f"unknown engine {self.engine!r}; expected one of {sorted(ENGINE_BACKENDS)}",
-        )
         require(self.workers >= 0, "workers must be >= 0 (0 = one per CPU)")
-        require(self.batch >= 0, "batch must be >= 0 (0 = one batch per stripe)")
         require(
             self.scenario in scenario_names(),
             f"unknown scenario {self.scenario!r}; registered: {scenario_names()}",
@@ -193,7 +170,7 @@ class SweepConfig:
             self.link_model in link_model_names(),
             f"unknown link model {self.link_model!r}; registered: {link_model_names()}",
         )
-        check_probability("loss_probability", self.loss_probability)
+        check_loss_probability("loss_probability", self.loss_probability)
         require(
             self.link_model != "reliable" or self.loss_probability == 0.0,
             "loss_probability > 0 requires link_model='independent-loss' "

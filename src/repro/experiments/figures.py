@@ -311,7 +311,7 @@ def figure_scenarios(
     """Cross-scenario comparison: mean policy latency per deployment scenario.
 
     Beyond the paper: one full sweep per scenario (same node counts,
-    repetitions, engine and duty model as ``config``), aggregated to the
+    repetitions and duty model as ``config``), aggregated to the
     mean latency over *all* records of each policy.  The x-axis enumerates
     the scenarios, one series per policy — the figure answers "how robust
     is each policy's advantage when the topology stops being uniform?".

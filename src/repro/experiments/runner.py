@@ -26,24 +26,16 @@ contract has three legs:
    ``"multi-source"``) so the axes stay independent.  The ``"link-loss"``
    stream in particular seeds the lossy link model once per cell, and the
    link model re-derives its RNG per broadcast, so every policy of a cell
-   faces the same delivery pattern regardless of execution order, worker
-   count or engine; the ``"multi-source"`` stream likewise fixes the extra
-   source placement per cell.
+   faces the same delivery pattern regardless of execution order or worker
+   count; the ``"multi-source"`` stream likewise fixes the extra source
+   placement per cell.
 3. *Deterministic reassembly.*  ``run_sweep`` re-assembles worker results
    in the serial cell order (``pool.imap``, not ``imap_unordered``).
 
 ``run_sweep(..., workers=N)`` fans the cells out over a process pool
-(``workers=0`` means one per CPU); ``engine="vectorized"`` switches every
-broadcast (and its validation) to the numpy bitset backend, which is
-trace-identical to the reference engine — including over lossy links.
-``engine="batched"`` goes one step further: the runner groups the missing
-cells into same-node-count *stripes* and executes every broadcast of a
-stripe as one lane of the stacked kernel (:mod:`repro.sim.batched`), with
-``config.batch`` capping the lanes per stacked batch; multi-source and
-exact-solver grids bypass the stripes and run per-cell.  Any combination
-of ``(scenario, duty_model, link_model, engine, workers, batch)``
-therefore changes *what* is simulated or *how fast*, never the records'
-reproducibility.
+(``workers=0`` means one per CPU).  Any combination of ``(scenario,
+duty_model, link_model, workers)`` therefore changes *what* is simulated or
+*how fast*, never the records' reproducibility.
 
 The determinism contract is also what makes cells *cacheable by content*:
 ``run_sweep(..., store=ExperimentStore(path))`` consults the persistent
@@ -51,7 +43,7 @@ store (:mod:`repro.store`) before dispatching — cached cells load from
 disk, missing cells are simulated and written back as each finishes, and
 the records are re-assembled in the serial cell order either way, so a
 warm (or partially warm) store returns records bit-identical to a cold
-run for any worker count and engine.  Interrupted sweeps resume from the
+run for any worker count.  Interrupted sweeps resume from the
 cells already persisted; grid extensions (more repetitions, new node
 counts, a new loss point) only pay for the delta.
 """
@@ -62,7 +54,7 @@ import functools
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from repro.baselines.approx17 import Approx17Policy
@@ -76,7 +68,6 @@ from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
 from repro.obs.sinks import CallbackSink
 from repro.scenarios import generate_scenario
-from repro.sim.batched import BatchProfile, BroadcastTask, run_batched
 from repro.sim.broadcast import run_broadcast
 from repro.sim.energy import energy_of_broadcast
 from repro.sim.links import build_link_model
@@ -355,21 +346,13 @@ class SweepCell:
     rate: int
     num_nodes: int
     repetition: int
-    engine: str
     policies: tuple[tuple[str, PolicyFactory], ...] | None = None
 
 
 @dataclass(frozen=True)
 class _CellSetup:
-    """Everything a cell's broadcasts share, reproduced from its seed.
-
-    The deterministic half of a cell's work (deployment, wake-up schedule,
-    link model, source placement) factored out of :func:`_run_cell` so the
-    batched stripe executor (:func:`_run_stripe`) prepares many cells and
-    hands all their broadcasts to :func:`repro.sim.batched.run_batched` in
-    one call — the records stay bit-identical because the setup *is* the
-    per-cell one.
-    """
+    """Everything a cell's broadcasts share, reproduced from its seed:
+    deployment, wake-up schedule, link model and source placement."""
 
     policies: tuple[tuple[str, PolicyFactory], ...]
     seed: int
@@ -426,7 +409,7 @@ def _prepare_cell(cell: SweepCell) -> _CellSetup:
     # The multi-source axis: k - 1 extra sources placed around the vetted
     # deployment source by the configured strategy, seeded per cell (the
     # "multi-source" split) so records stay bit-identical for any worker
-    # count and engine.  k = 1 keeps the original single-source code path.
+    # count.  k = 1 keeps the original single-source code path.
     n_sources = config.n_sources
     sources = (source,)
     if n_sources > 1:
@@ -508,7 +491,6 @@ def _run_cell(cell: SweepCell) -> list[RunRecord]:
                 factory(),
                 schedule=setup.schedule,
                 align_start=cell.system == "duty",
-                engine=cell.engine,
                 link_model=setup.link_model,
             )
             message_latencies: tuple[int, ...] = (trace.latency,)
@@ -519,7 +501,6 @@ def _run_cell(cell: SweepCell) -> list[RunRecord]:
                 [factory() for _ in range(n_sources)],
                 schedule=setup.schedule,
                 align_start=cell.system == "duty",
-                engine=cell.engine,
                 link_model=setup.link_model,
             )
             message_latencies = trace.per_message_latency
@@ -527,95 +508,19 @@ def _run_cell(cell: SweepCell) -> list[RunRecord]:
     return records
 
 
-def _stripe_eligible(config: SweepConfig) -> bool:
-    """Whether the batched stripe executor can run this sweep's cells.
-
-    Stripes stack *single-source* broadcasts; multi-source cells go through
-    the engines' ``run_multi`` path instead.  Exact solver tiers are also
-    left on the per-cell path: their per-policy ``prepare`` dominates the
-    cell (branch-and-bound over the whole instance), so stacking the slot
-    loops buys nothing and would hold every solved plan alive at once.
-    """
-    return config.n_sources == 1 and config.solver == "heuristic"
-
-
-def _run_stripe(
-    stripe: tuple[SweepCell, ...], profile: BatchProfile | None = None
-) -> list[list[RunRecord]]:
-    """Execute one same-node-count stripe of cells in stacked batches.
-
-    The pool work unit of the ``"batched"`` engine: every (cell, policy)
-    broadcast of the stripe becomes one :class:`~repro.sim.batched.BroadcastTask`
-    lane and :func:`~repro.sim.batched.run_batched` advances them together.
-    Cells are *prepared* exactly as :func:`_run_cell` does (same seeds, same
-    generators) and each lane keeps its own policy, schedule and link-model
-    stream, so the returned records are bit-identical to per-cell execution
-    — the stripe only changes how many slot loops run per numpy dispatch.
-    """
-    setups = [_prepare_cell(cell) for cell in stripe]
-    tasks = [
-        BroadcastTask(
-            setup.topology,
-            setup.source,
-            factory(),
-            schedule=setup.schedule,
-            align_start=cell.system == "duty",
-            link_model=setup.link_model,
-        )
-        for cell, setup in zip(stripe, setups)
-        for _, factory in setup.policies
-    ]
-    batch = stripe[0].config.batch
-    # With listeners attached, time the stripe through a private profile —
-    # StripeFinished wants per-stripe numbers, not the caller's running
-    # totals — and fold it into the caller's accumulator afterwards.
-    observing = EVENT_BUS.active
-    stripe_profile = BatchProfile() if observing else profile
-    if observing:
-        EVENT_BUS.emit(_events.StripeStarted(stripe[0].num_nodes, len(tasks)))
-    traces = iter(
-        run_batched(
-            tasks, batch=batch, validate=True, prepare=True, profile=stripe_profile
-        )
-    )
-    if observing:
-        EVENT_BUS.emit(
-            _events.StripeFinished(
-                stripe[0].num_nodes,
-                len(tasks),
-                stripe_profile.kernel_s,
-                stripe_profile.decide_s,
-                stripe_profile.bookkeeping_s,
-                stripe_profile.macro_steps,
-                stripe_profile.advances,
-            )
-        )
-        if profile is not None:
-            profile.merge(stripe_profile)
-    results: list[list[RunRecord]] = []
-    for cell, setup in zip(stripe, setups):
-        records = []
-        for name, _ in setup.policies:
-            trace = next(traces)
-            records.append(_cell_record(cell, setup, name, trace, (trace.latency,)))
-        results.append(records)
-    return results
-
-
 def sweep_cells(
     config: SweepConfig,
     *,
     system: str = "sync",
     rate: int = 10,
-    engine: str | None = None,
     policies: Mapping[str, PolicyFactory] | None = None,
 ) -> list[SweepCell]:
     """The sweep's grid as independently executable cells, in serial order.
 
-    Exactly the cells (and the order) ``run_sweep`` would build for the
-    same arguments — the shared vocabulary between the runner and the
-    fabric coordinator, which partitions and leases this list to a worker
-    fleet (:mod:`repro.fabric`).
+    The cells (and the order) ``run_sweep`` runs for the same arguments —
+    the shared vocabulary between the runner and the fabric coordinator,
+    which partitions and leases this list to a worker fleet
+    (:mod:`repro.fabric`).
     """
     if system not in ("sync", "duty"):
         raise ValueError(f"unknown system {system!r}; expected 'sync' or 'duty'")
@@ -627,7 +532,6 @@ def sweep_cells(
             rate=rate if system == "duty" else 1,
             num_nodes=num_nodes,
             repetition=repetition,
-            engine=config.engine if engine is None else engine,
             policies=frozen_policies,
         )
         for num_nodes in config.node_counts
@@ -649,11 +553,9 @@ def run_sweep(
     rate: int = 10,
     policies: Mapping[str, PolicyFactory] | None = None,
     workers: int | None = None,
-    engine: str | None = None,
     store: ExperimentStore | None = None,
     resume: bool = True,
     progress: Callable[[str], None] | None = None,
-    profile: BatchProfile | None = None,
     fabric: object | None = None,
 ) -> SweepResult:
     """Run the full sweep and return the collected records.
@@ -677,21 +579,13 @@ def run_sweep(
         in-process, ``0`` uses one worker per CPU.  The result is
         bit-identical for every worker count: each grid cell derives its
         own RNG stream from the experiment seed and its coordinates.
-    engine:
-        Simulation backend override (defaults to ``config.engine``).  With
-        ``"batched"`` the runner executes whole same-node-count stripes of
-        missing cells through :func:`repro.sim.batched.run_batched` (one
-        lane per (cell, policy) broadcast, ``config.batch`` lanes per
-        stacked batch); stripes become the pool work units.  Multi-source
-        and exact-solver sweeps fall back to per-cell vectorized execution.
-        Records are bit-identical for every backend and batch size.
     store:
         Persistent :class:`~repro.store.ExperimentStore`.  Every simulated
         cell is written back as it finishes (so an interrupted sweep keeps
         its progress), and — with ``resume`` — cached cells are loaded
         instead of re-simulated.  The cache key deliberately excludes
-        ``engine`` and ``workers`` (records are bit-identical across them)
-        and the grid shape, so extended grids reuse every overlapping cell.
+        ``workers`` (records are bit-identical across worker counts) and
+        the grid shape, so extended grids reuse every overlapping cell.
     resume:
         Consult the store before dispatching (default).  ``False`` forces a
         full re-simulation that overwrites the cached cells.
@@ -702,15 +596,6 @@ def run_sweep(
         the :class:`~repro.obs.events.SweepStarted` event — new callers
         should attach a sink to :data:`~repro.obs.bus.EVENT_BUS` instead
         and see the full event stream (docs/telemetry.md).
-    profile:
-        Optional :class:`~repro.sim.batched.BatchProfile` accumulator for
-        the batched stripe executor's per-phase timing split (kernel /
-        policy decisions / bookkeeping).  Profiling forces the stripes to
-        run in-process (phase timers cannot aggregate across pool
-        workers), so expect ``workers`` to be ignored while it is set.
-        The accumulator stays empty when the sweep does not take the
-        batched stripe path (other engines, multi-source or exact-solver
-        grids, or every cell already cached).
     fabric:
         Optional fabric executor (:class:`repro.fabric.LocalFleet`, or any
         object with the same ``execute(cells, store=...)`` method): the
@@ -726,25 +611,8 @@ def run_sweep(
     effective_workers = _resolve_workers(
         config.workers if workers is None else workers
     )
-    effective_engine = config.engine if engine is None else engine
     effective_rate = 1 if system == "sync" else rate
-    if system not in ("sync", "duty"):
-        raise ValueError(f"unknown system {system!r}; expected 'sync' or 'duty'")
-
-    frozen_policies = None if policies is None else tuple(policies.items())
-    cells = [
-        SweepCell(
-            config=config,
-            system=system,
-            rate=rate if system == "duty" else 1,
-            num_nodes=num_nodes,
-            repetition=repetition,
-            engine=effective_engine,
-            policies=frozen_policies,
-        )
-        for num_nodes in config.node_counts
-        for repetition in range(config.repetitions)
-    ]
+    cells = sweep_cells(config, system=system, rate=rate, policies=policies)
 
     result = SweepResult(system=system, rate=effective_rate, config=config)
 
@@ -810,7 +678,6 @@ def run_sweep(
                 _events.SweepStarted(
                     system,
                     effective_rate,
-                    effective_engine,
                     len(cells),
                     result.cache_hits if store is not None else -1,
                     len(missing),
@@ -824,7 +691,7 @@ def run_sweep(
         # fleet.  The coordinator validates and commits each cell into the
         # store itself (idempotently, by digest), so the runner skips its
         # own write-back and only reassembles in serial order.
-        if frozen_policies is not None:
+        if policies is not None:
             raise ValueError(
                 "fabric execution requires the default policy line-up; "
                 "custom policy factories cannot cross the fabric wire"
@@ -839,52 +706,8 @@ def run_sweep(
                         index, cell.num_nodes, cell.repetition, len(records)
                     )
                 )
-    elif missing and effective_engine == "batched" and _stripe_eligible(config):
-        # Stripe planner: group the missing cells by node count (stacked
-        # lanes need one shape) and run each stripe through the batched
-        # executor.  Stripes — not cells — are the pool work units; the
-        # per-cell store write-back happens here in the parent as each
-        # stripe's records arrive, exactly like the per-cell path.
-        stripes: dict[int, list[int]] = {}
-        for index in missing:
-            stripes.setdefault(cells[index].num_nodes, []).append(index)
-        stripe_indices = list(stripes.values())
-        stripe_cells = [
-            tuple(cells[index] for index in indices) for indices in stripe_indices
-        ]
-        in_process = (
-            effective_workers <= 1 or len(stripe_cells) <= 1 or profile is not None
-        )
-        if in_process:
-            # profile forces this path: phase timers accumulate in the
-            # parent's BatchProfile, which pool workers could not share.
-            stripe_results = (
-                _run_stripe(stripe, profile=profile) for stripe in stripe_cells
-            )
-            for indices, per_stripe in zip(stripe_indices, stripe_results):
-                for index, records in zip(indices, per_stripe):
-                    _finish(index, records)
-        else:
-            use_fork = (
-                sys.platform.startswith("linux")
-                and "fork" in multiprocessing.get_all_start_methods()
-            )
-            context = multiprocessing.get_context("fork" if use_fork else "spawn")
-            processes = min(effective_workers, len(stripe_cells))
-            with context.Pool(processes=processes) as pool:
-                for indices, per_stripe in zip(
-                    stripe_indices, pool.imap(_run_stripe, stripe_cells, chunksize=1)
-                ):
-                    for index, records in zip(indices, per_stripe):
-                        _finish(index, records)
     elif missing:
         pending = [cells[index] for index in missing]
-        if effective_engine == "batched":
-            # Stripe-ineligible grid (multi-source or exact solver): run the
-            # cells per-cell on the vectorized engine.  Records are
-            # bit-identical across backends, so the bypass is invisible in
-            # the output (and in the store, which never keys on the engine).
-            pending = [replace(cell, engine="vectorized") for cell in pending]
         if effective_workers <= 1 or len(pending) <= 1:
             for index, cell in zip(missing, pending):
                 _finish(index, _run_cell(cell))

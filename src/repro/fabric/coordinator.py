@@ -43,6 +43,7 @@ from repro.fabric.protocol import (
     PROTOCOL_VERSION,
     FabricError,
     cell_to_payload,
+    check_protocol_version,
     records_from_payload,
 )
 from repro.fabric.queue import DEFAULT_LEASE_TTL, LeaseQueue
@@ -168,6 +169,7 @@ class FabricCoordinator:
     # -- request handlers (lock held) --------------------------------------
 
     def _claim(self, payload: Mapping) -> dict:
+        check_protocol_version(payload, "worker")
         worker = str(payload.get("worker", "anonymous"))
         now = self._clock()
         stats = self._workers.setdefault(
@@ -181,6 +183,7 @@ class FabricCoordinator:
             self.metrics.counter("fabric.lease_claims").inc()
             return {
                 "status": "lease",
+                "protocol_version": PROTOCOL_VERSION,
                 "lease": lease.lease_id,
                 "index": lease.index,
                 "digest": self._keys[lease.index].digest,

@@ -28,6 +28,7 @@ from repro.experiments.runner import RunRecord, SweepCell
 __all__ = [
     "PROTOCOL_VERSION",
     "FabricError",
+    "check_protocol_version",
     "cell_to_payload",
     "cell_from_payload",
     "config_to_payload",
@@ -36,14 +37,32 @@ __all__ = [
     "records_from_payload",
 ]
 
-#: Version of the claim/heartbeat/result/status message schema.  Served in
-#: every status response; a worker speaking a different version fails fast
-#: instead of mis-parsing leases.
-PROTOCOL_VERSION = 1
+#: Version of the claim/heartbeat/result/status message schema.  Workers
+#: send it with every claim and coordinators put it in every lease grant and
+#: status response; either side fails fast on a mismatch (see
+#: :func:`check_protocol_version`) instead of mis-parsing leases.  Version 2
+#: dropped ``engine`` from the cell payload and ``engine``/``batch`` from
+#: the config payload.
+PROTOCOL_VERSION = 2
 
 
 class FabricError(RuntimeError):
     """A fabric-level contract violation (bad payload, failed fleet, ...)."""
+
+
+def check_protocol_version(payload: Mapping, peer: str) -> None:
+    """Raise :class:`FabricError` unless ``payload`` speaks this version.
+
+    A payload without a ``protocol_version`` field predates the field and
+    speaks version 1.
+    """
+    version = payload.get("protocol_version", 1)
+    if version != PROTOCOL_VERSION:
+        raise FabricError(
+            f"fabric protocol mismatch: the {peer} speaks version {version}, "
+            f"this side speaks {PROTOCOL_VERSION}; run the same release of "
+            "repro on the coordinator and every worker"
+        )
 
 
 def config_to_payload(config: SweepConfig) -> dict:
@@ -73,7 +92,6 @@ def cell_to_payload(cell: SweepCell) -> dict:
         "rate": cell.rate,
         "num_nodes": cell.num_nodes,
         "repetition": cell.repetition,
-        "engine": cell.engine,
     }
 
 
@@ -85,7 +103,6 @@ def cell_from_payload(payload: Mapping) -> SweepCell:
         rate=payload["rate"],
         num_nodes=payload["num_nodes"],
         repetition=payload["repetition"],
-        engine=payload["engine"],
         policies=None,
     )
 

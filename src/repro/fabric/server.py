@@ -78,7 +78,8 @@ class FabricHTTPServer:
         self._started.wait()
         if self._startup_error is not None:
             raise self._startup_error
-        assert self.url is not None
+        if self.url is None:
+            raise RuntimeError("fabric server signalled start-up without binding a port")
         return self.url
 
     def stop(self) -> None:

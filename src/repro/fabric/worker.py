@@ -32,7 +32,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.experiments.runner import _run_cell
-from repro.fabric.protocol import cell_from_payload, records_to_payload
+from repro.fabric.protocol import (
+    PROTOCOL_VERSION,
+    cell_from_payload,
+    check_protocol_version,
+    records_to_payload,
+)
 from repro.fabric.transport import Transport, TransportError
 from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
@@ -122,7 +127,9 @@ class FabricWorker:
         consecutive_errors = 0
         while True:
             try:
-                response = self.transport.request("claim", {"worker": self.name})
+                response = self.transport.request(
+                    "claim", {"worker": self.name, "protocol_version": PROTOCOL_VERSION}
+                )
             except TransportError:
                 self.stats.transport_errors += 1
                 consecutive_errors += 1
@@ -146,6 +153,7 @@ class FabricWorker:
                 self._sleep(self.poll_interval)
                 continue
             self.stats.claims += 1
+            check_protocol_version(response, "coordinator")
             cell = cell_from_payload(response["cell"])
             records = self.simulate(cell, response)
             for record in records:

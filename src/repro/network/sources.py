@@ -21,10 +21,10 @@ Every strategy is a pure function of ``(topology, k, seed, anchor)``:
 ``"random"`` consumes only the RNG derived from ``seed``, and ``"spread"`` /
 ``"corner"`` consume no randomness at all (ties break on node id).  The
 sweep runner derives the seed per cell (``derive_seed(cell_seed,
-"multi-source")``), so records are bit-identical for any worker count and
-either engine backend.  When an ``anchor`` is given (the runner passes the
-deployment's eccentricity-vetted source), it is always ``sources[0]`` and
-the strategy places the remaining ``k - 1``.
+"multi-source")``), so records are bit-identical for any worker count.
+When an ``anchor`` is given (the runner passes the deployment's
+eccentricity-vetted source), it is always ``sources[0]`` and the strategy
+places the remaining ``k - 1``.
 """
 
 from __future__ import annotations
@@ -198,5 +198,9 @@ def select_sources(
     if len(chosen) < k:
         chosen = place(topology, k, seed, area_side, chosen)
     sources = tuple(int(u) for u in chosen[:k])
-    assert len(set(sources)) == k
+    if len(set(sources)) != k:
+        raise RuntimeError(
+            f"source placement {placement!r} returned {list(sources)}, not "
+            f"{k} distinct nodes"
+        )
     return sources

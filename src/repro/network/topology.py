@@ -84,9 +84,9 @@ class WSNTopology:
         "_full_mask",
         "_node_set",
         "_hops",
-        # Weak-referenceable so derived views (e.g. the vectorized backend's
-        # BitsetTopology) can be cached per topology without keeping dead
-        # topologies alive.
+        # Weak-referenceable so derived data (e.g. the greedy colour-class
+        # cache of repro.core.coloring) can be cached per topology without
+        # keeping dead topologies alive.
         "__weakref__",
     )
 

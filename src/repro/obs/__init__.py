@@ -22,16 +22,12 @@ from repro.obs.events import (
     CellQuarantined,
     CellStarted,
     Event,
-    LaneWoke,
     LeaseClaimed,
     LeaseExpired,
     LeaseFailed,
-    SlotAdvanced,
     StoreHit,
     StoreMiss,
     StorePut,
-    StripeFinished,
-    StripeStarted,
     SweepFinished,
     SweepStarted,
     WorkerHeartbeat,
@@ -44,7 +40,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     MetricsSink,
-    profile_to_metrics,
 )
 from repro.obs.monitor import SweepMonitor, render_metrics
 from repro.obs.sinks import (
@@ -70,10 +65,6 @@ __all__ = [
     "SweepFinished",
     "CellStarted",
     "CellFinished",
-    "StripeStarted",
-    "StripeFinished",
-    "SlotAdvanced",
-    "LaneWoke",
     "StoreHit",
     "StoreMiss",
     "StorePut",
@@ -99,7 +90,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSink",
-    "profile_to_metrics",
     # monitor
     "SweepMonitor",
     "render_metrics",

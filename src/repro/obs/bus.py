@@ -1,7 +1,7 @@
 """The event bus: fan one event stream out to attached sinks, zero-cost off.
 
 One process-wide bus (:data:`EVENT_BUS`) carries every telemetry event of
-the instrumented layers — sweep runner, store, batched executor, fabric.
+the instrumented layers — sweep runner, store, fabric.
 The design constraint is the **zero-cost-when-off contract**: with no sink
 attached, instrumented hot paths must not even *construct* events, let
 alone dispatch them.  Call sites therefore guard on the plain attribute
@@ -23,7 +23,7 @@ broken sink is a bug to fix, not to paper over.
 
 Events are observation only: no instrumented code path reads the bus, so
 records stay bit-identical with any sink set attached (the property suite
-``tests/property/test_telemetry_determinism.py`` pins this across engines
+``tests/property/test_telemetry_determinism.py`` pins this across workers
 and fleets).
 """
 

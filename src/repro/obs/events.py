@@ -12,7 +12,7 @@ The zero-cost contract (see :mod:`repro.obs.bus`) means event *construction*
 is guarded at every hot call site::
 
     if EVENT_BUS.active:
-        EVENT_BUS.emit(events.SlotAdvanced(...))
+        EVENT_BUS.emit(events.CellStarted(...))
 
 so a run with no sink attached never allocates an event at all — the unit
 suite pins this by swapping the event classes for raisers.
@@ -30,10 +30,6 @@ __all__ = [
     "SweepFinished",
     "CellStarted",
     "CellFinished",
-    "StripeStarted",
-    "StripeFinished",
-    "SlotAdvanced",
-    "LaneWoke",
     "StoreHit",
     "StoreMiss",
     "StorePut",
@@ -70,7 +66,6 @@ class SweepStarted(Event):
     kind: ClassVar[str] = "sweep_started"
     system: str
     rate: int
-    engine: str
     total_cells: int
     cached_cells: int
     missing_cells: int
@@ -106,52 +101,6 @@ class CellFinished(Event):
     num_nodes: int
     repetition: int
     records: int
-
-
-# -- batched stripe executor ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class StripeStarted(Event):
-    """A same-node-count stripe of lanes entered the stacked executor."""
-
-    kind: ClassVar[str] = "stripe_started"
-    num_nodes: int
-    lanes: int
-
-
-@dataclass(frozen=True)
-class StripeFinished(Event):
-    """A stripe completed, with its :class:`~repro.sim.batched.BatchProfile`
-    split (zeros when the stripe ran unprofiled)."""
-
-    kind: ClassVar[str] = "stripe_finished"
-    num_nodes: int
-    lanes: int
-    kernel_s: float
-    decide_s: float
-    bookkeeping_s: float
-    macro_steps: int
-    advances: int
-
-
-@dataclass(frozen=True)
-class SlotAdvanced(Event):
-    """One recorded advance of a streamed broadcast (transmission slot)."""
-
-    kind: ClassVar[str] = "slot_advanced"
-    time: int
-    transmitters: int
-    receivers: int
-
-
-@dataclass(frozen=True)
-class LaneWoke(Event):
-    """A batched lane reached its next offered slot and was served."""
-
-    kind: ClassVar[str] = "lane_woke"
-    lane: int
-    time: int
 
 
 # -- experiment store ------------------------------------------------------
@@ -245,10 +194,6 @@ EVENT_KINDS: dict[str, type[Event]] = {
         SweepFinished,
         CellStarted,
         CellFinished,
-        StripeStarted,
-        StripeFinished,
-        SlotAdvanced,
-        LaneWoke,
         StoreHit,
         StoreMiss,
         StorePut,

@@ -22,9 +22,9 @@ Sinks stamp arrival times themselves (``time.time()`` at consumption):
 events are pure values without clocks (see :mod:`repro.obs.events`), so
 timestamping is an observation concern, not a simulation one.
 
-The registry mirrors the repo's other catalogs (``ENGINE_BACKENDS``,
-``LINK_MODELS``, ``STORE_BACKENDS``): ``build_sink(name, **kwargs)``
-instantiates by name, ``sink_names()`` lists the catalog for CLIs and docs.
+The registry mirrors the repo's other catalogs (``LINK_MODELS``,
+``STORE_BACKENDS``): ``build_sink(name, **kwargs)`` instantiates by name,
+``sink_names()`` lists the catalog for CLIs and docs.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 ``repro.scenarios`` is a registry of deployment generators.  Every scenario
 returns a standard :class:`~repro.network.deployment.Deployment`, so the
-reference, vectorized and lossy engines — and the whole experiment harness —
-run unchanged on any of them:
+engines — reliable or lossy — and the whole experiment harness run
+unchanged on any of them:
 
 >>> from repro.scenarios import generate_scenario, scenario_names
 >>> scenario_names()  # doctest: +NORMALIZE_WHITESPACE

@@ -7,8 +7,7 @@ topology-dependent — a corridor stretches the wavefront into a line, a ring
 splits it into two fronts, clusters funnel it through sparse bridges.  The
 scenario registry opens those workloads without touching any engine: every
 scenario produces a standard :class:`~repro.network.deployment.Deployment`
-(topology + source), so the reference, vectorized and lossy simulators all
-run unchanged.
+(topology + source), so the reliable and lossy simulators run unchanged.
 
 Contract
 --------

@@ -1,15 +1,8 @@
 """Broadcast simulators: engines, traces, validation and metrics."""
 
-from repro.sim.batched import (
-    BatchedRoundEngine,
-    BatchedSlotEngine,
-    BroadcastTask,
-    run_batched,
-)
-from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
+from repro.sim.broadcast import run_broadcast
 from repro.sim.energy import EnergyModel, EnergyReport, energy_of_broadcast
 from repro.sim.engine import RoundEngine, SimulationTimeout, SlotEngine
-from repro.sim.fast_engine import FastRoundEngine, FastSlotEngine
 from repro.sim.links import (
     LINK_MODELS,
     IndependentLossLinks,
@@ -25,14 +18,7 @@ from repro.sim.metrics import (
 )
 from repro.sim.render import render_schedule_timeline, render_topology_ascii
 from repro.sim.replay import ReplayPolicy
-from repro.sim.streaming import StreamSummary, stream_broadcast
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
-from repro.sim.unreliable import (
-    LossyRoundEngine,
-    LossySlotEngine,
-    reliability_sweep,
-    run_lossy_broadcast,
-)
 from repro.sim.validation import (
     ScheduleViolation,
     assert_valid,
@@ -42,21 +28,13 @@ from repro.sim.validation import (
 )
 
 __all__ = [
-    "BatchedRoundEngine",
-    "BatchedSlotEngine",
     "BroadcastMetrics",
     "BroadcastResult",
-    "BroadcastTask",
-    "ENGINE_BACKENDS",
     "EnergyModel",
     "EnergyReport",
-    "FastRoundEngine",
-    "FastSlotEngine",
     "IndependentLossLinks",
     "LINK_MODELS",
     "LinkModel",
-    "LossyRoundEngine",
-    "LossySlotEngine",
     "MultiBroadcastMetrics",
     "MultiBroadcastResult",
     "ReliableLinks",
@@ -65,20 +43,15 @@ __all__ = [
     "ScheduleViolation",
     "SimulationTimeout",
     "SlotEngine",
-    "StreamSummary",
     "assert_valid",
     "assert_valid_multi",
     "build_link_model",
     "energy_of_broadcast",
     "link_model_names",
     "improvement_percent",
-    "reliability_sweep",
     "render_schedule_timeline",
     "render_topology_ascii",
-    "run_batched",
     "run_broadcast",
-    "run_lossy_broadcast",
-    "stream_broadcast",
     "validate_broadcast",
     "validate_multi_broadcast",
 ]

@@ -16,11 +16,6 @@ interference rules — see ``_EngineBase._run_multi`` in
 :class:`~repro.sim.trace.MultiBroadcastResult` with one complete
 per-message trace per source; for a one-element sequence it wraps a trace
 bit-identical to the single-source call.
-
-:data:`ENGINE_BACKENDS` is the *single* registry of engine backends: the
-experiment configuration, the CLI and the lossy shims of
-:mod:`repro.sim.unreliable` all resolve engine classes through it, so a new
-backend plugs in here and is immediately selectable everywhere.
 """
 
 from __future__ import annotations
@@ -31,28 +26,12 @@ from typing import Sequence
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
-from repro.sim.batched import BatchedRoundEngine, BatchedSlotEngine
 from repro.sim.engine import RoundEngine, SlotEngine
-from repro.sim.fast_engine import FastRoundEngine, FastSlotEngine
 from repro.sim.links import LinkModel, ReliableLinks
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
 from repro.sim.validation import assert_valid, assert_valid_multi
 
-__all__ = ["run_broadcast", "ENGINE_BACKENDS"]
-
-#: Engine backends selectable via ``run_broadcast(..., engine=...)``:
-#: ``(round_engine_cls, slot_engine_cls)`` per backend name.  Both classes
-#: of a backend accept ``link_model=`` as their last constructor argument
-#: and implement the single-source ``run`` and the multi-source
-#: ``run_multi`` entry points.  ``"batched"`` routes single-source runs
-#: through the stacked multi-lane kernel of :mod:`repro.sim.batched` (and
-#: inherits the vectorized multi-source path); the sweep runner uses the
-#: same kernel to execute whole grid stripes at once.
-ENGINE_BACKENDS = {
-    "reference": (RoundEngine, SlotEngine),
-    "vectorized": (FastRoundEngine, FastSlotEngine),
-    "batched": (BatchedRoundEngine, BatchedSlotEngine),
-}
+__all__ = ["run_broadcast"]
 
 
 def _resolve_policies(
@@ -89,7 +68,6 @@ def run_broadcast(
     align_start: bool = False,
     max_time: int | None = None,
     validate: bool = True,
-    engine: str = "reference",
     link_model: LinkModel | None = None,
 ) -> BroadcastResult | MultiBroadcastResult:
     """Broadcast from ``source`` under ``policy`` and return the trace.
@@ -133,19 +111,12 @@ def run_broadcast(
         traces are validated against the *delivered* receivers; multi-source
         traces are validated per message plus the cross-message contention
         rules.
-    engine:
-        ``"reference"`` (the frozenset/bigint engines, the correctness
-        oracle) or ``"vectorized"`` (the numpy bitset backend of
-        :mod:`repro.sim.fast_engine`).  Both produce bit-identical traces
-        for any link model and any number of sources; the vectorized
-        backend is the fast path for large sweeps.
     link_model:
         Delivery semantics: ``None`` / :class:`~repro.sim.links.ReliableLinks`
         for the paper's model, or
         :class:`~repro.sim.links.IndependentLossLinks` for independent
-        per-link failures (§VI robustness).  Any ``engine`` combines with
-        any link model; the traces are bit-identical per (model, seed)
-        across backends.
+        per-link failures (§VI robustness); the traces are a pure function
+        of the model and its seed.
 
     Returns
     -------
@@ -154,13 +125,6 @@ def run_broadcast(
         ``start_time=1`` (for multi-source runs: the makespan of the
         slowest message).
     """
-    try:
-        round_engine_cls, slot_engine_cls = ENGINE_BACKENDS[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine backend {engine!r}; expected one of "
-            f"{sorted(ENGINE_BACKENDS)}"
-        ) from None
     link = ReliableLinks() if link_model is None else link_model
 
     if isinstance(source, (str, bytes)):
@@ -194,12 +158,12 @@ def run_broadcast(
         for item, src in zip(policies, sources):
             item.prepare(topology, schedule, src)
         if schedule is None:
-            round_engine = round_engine_cls(topology, link_model=link)
+            round_engine = RoundEngine(topology, link_model=link)
             multi = round_engine.run_multi(
                 policies, sources, start_time=start_time, max_rounds=max_time
             )
         else:
-            slot_engine = slot_engine_cls(topology, schedule, link_model=link)
+            slot_engine = SlotEngine(topology, schedule, link_model=link)
             multi = slot_engine.run_multi(
                 policies,
                 sources,
@@ -209,11 +173,7 @@ def run_broadcast(
             )
         if validate:
             assert_valid_multi(
-                topology,
-                multi,
-                schedule=schedule,
-                backend=engine,
-                lossy=not link.lossless,
+                topology, multi, schedule=schedule, lossy=not link.lossless
             )
         return multi
 
@@ -232,12 +192,12 @@ def run_broadcast(
         )
     policy.prepare(topology, schedule, source)
     if schedule is None:
-        round_engine = round_engine_cls(topology, link_model=link)
+        round_engine = RoundEngine(topology, link_model=link)
         result = round_engine.run(
             policy, source, start_time=start_time, max_rounds=max_time
         )
     else:
-        slot_engine = slot_engine_cls(topology, schedule, link_model=link)
+        slot_engine = SlotEngine(topology, schedule, link_model=link)
         result = slot_engine.run(
             policy,
             source,
@@ -246,11 +206,5 @@ def run_broadcast(
             max_slots=max_time,
         )
     if validate:
-        assert_valid(
-            topology,
-            result,
-            schedule=schedule,
-            backend=engine,
-            lossy=not link.lossless,
-        )
+        assert_valid(topology, result, schedule=schedule, lossy=not link.lossless)
     return result

@@ -19,8 +19,7 @@ model at the boundary:
 
 ``_EngineBase._run`` is the shared broadcast kernel: one loop serves the
 reliable and the lossy configurations of both system models, so there is a
-single place where coverage, timing and trace recording are defined (the
-numpy-bitset twin lives in :mod:`repro.sim.fast_engine`).
+single place where coverage, timing and trace recording are defined.
 
 ``_EngineBase._run_multi`` is the *multi-source* kernel behind
 ``run_broadcast(..., k sources)``: ``k`` concurrent wavefronts share the
@@ -61,31 +60,6 @@ __all__ = ["SimulationTimeout", "RoundEngine", "SlotEngine"]
 
 class SimulationTimeout(RuntimeError):
     """The broadcast did not complete within the engine's time limit."""
-
-
-def check_multi_inputs(
-    topology: WSNTopology,
-    policies: Sequence[SchedulingPolicy],
-    sources: Sequence[int],
-) -> None:
-    """Validate the (policies, sources) inputs of a multi-source run.
-
-    Shared by both engine backends — the contract is representation-free
-    (source distinctness/membership, one policy per message), so it lives
-    once at module level instead of being twinned like the kernels.
-    """
-    require(len(sources) >= 1, "a multi-source broadcast needs >= 1 source")
-    require(
-        len(set(sources)) == len(sources),
-        f"duplicate sources: {sorted(sources)}",
-    )
-    for source in sources:
-        require(source in topology, f"unknown source node {source}")
-    require(
-        len(policies) == len(sources),
-        f"need one policy per message: {len(policies)} policies for "
-        f"{len(sources)} sources",
-    )
 
 
 class _EngineBase:
@@ -152,10 +126,9 @@ class _EngineBase:
         full = self.topology.node_set
 
         while covered != full:
-            # Honour the policy's fast-forward hint before the limit check
-            # (the same order as every other backend): the hint promises
-            # select_advance answers None on the skipped slots, so jumping
-            # is trace-preserving.
+            # Honour the policy's fast-forward hint before the limit check:
+            # the hint promises select_advance answers None on the skipped
+            # slots, so jumping is trace-preserving.
             hinted = policy.next_decision_slot(time)
             if hinted is not None and hinted > time:
                 time = hinted
@@ -210,7 +183,19 @@ class _EngineBase:
     def _check_multi_inputs(
         self, policies: Sequence[SchedulingPolicy], sources: Sequence[int]
     ) -> None:
-        check_multi_inputs(self.topology, policies, sources)
+        """Distinct known sources and one policy per message."""
+        require(len(sources) >= 1, "a multi-source broadcast needs >= 1 source")
+        require(
+            len(set(sources)) == len(sources),
+            f"duplicate sources: {sorted(sources)}",
+        )
+        for source in sources:
+            require(source in self.topology, f"unknown source node {source}")
+        require(
+            len(policies) == len(sources),
+            f"need one policy per message: {len(policies)} policies for "
+            f"{len(sources)} sources",
+        )
 
     def _run_multi(
         self,

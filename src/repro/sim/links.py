@@ -1,10 +1,10 @@
 """Link models: the delivery semantics of the composable simulation core.
 
-The engines in :mod:`repro.sim.engine` and :mod:`repro.sim.fast_engine`
-share one broadcast kernel (per backend) parameterised by a
-:class:`LinkModel` strategy.  The policy proposes an advance, the engine
-validates it against the paper's network model, and the link model decides
-which of the advance's intended receivers actually get the message:
+The engines in :mod:`repro.sim.engine` share one broadcast kernel
+parameterised by a :class:`LinkModel` strategy.  The policy proposes an
+advance, the engine validates it against the paper's network model, and the
+link model decides which of the advance's intended receivers actually get
+the message:
 
 * :class:`ReliableLinks` — every delivery succeeds (the paper's model);
 * :class:`IndependentLossLinks` — each (transmitter, uncovered neighbour)
@@ -17,15 +17,11 @@ Determinism contract
 A lossy run consumes exactly one uniform draw per *candidate pair* — a
 ``(transmitter, receiver)`` pair with the receiver an uncovered neighbour
 of the transmitter — enumerated in ascending ``(transmitter id, receiver
-id)`` order within each advance.  Both the set-based implementation
-(:meth:`LinkModel.deliver`) and the numpy-bitset implementation
-(:meth:`LinkModel.deliver_bool`) follow that exact order, and numpy's
-``Generator.random(n)`` produces the same stream as ``n`` scalar
-``Generator.random()`` calls, so the two backends produce **bit-identical
-traces for the same (model, seed)**.  The experiment runner derives the
-per-cell loss seed by splitting the cell seed on the ``"link-loss"`` path
-(see :mod:`repro.experiments.runner`), which keeps sweep records
-bit-identical for any worker count and either engine.
+id)`` order within each advance, so a trace is a pure function of the
+**(model, seed)** pair.  The experiment runner derives the per-cell loss
+seed by splitting the cell seed on the ``"link-loss"`` path (see
+:mod:`repro.experiments.runner`), which keeps sweep records bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -35,10 +31,9 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core.advance import Advance
-from repro.network.bitset import BitsetTopology
 from repro.network.topology import WSNTopology
 from repro.utils.rng import make_rng
-from repro.utils.validation import check_probability
+from repro.utils.validation import check_loss_probability
 
 __all__ = [
     "LinkModel",
@@ -51,7 +46,7 @@ __all__ = [
 
 
 class LinkModel(ABC):
-    """Delivery semantics strategy shared by both engine backends.
+    """Delivery semantics strategy shared by both engines.
 
     A link model is immutable configuration; any per-run randomness lives in
     the state object returned by :meth:`make_state`, which the engine
@@ -89,21 +84,6 @@ class LinkModel(ABC):
     ) -> frozenset[int]:
         """The subset of ``advance.receivers`` actually delivered (set-based)."""
 
-    @abstractmethod
-    def deliver_bool(
-        self,
-        state: object | None,
-        view: BitsetTopology,
-        tx_idx: np.ndarray,
-        expected_bool: np.ndarray,
-        covered_bool: np.ndarray,
-    ) -> np.ndarray:
-        """The delivered receivers as a boolean vector (bitset-based).
-
-        Must consume randomness identically to :meth:`deliver` so the two
-        backends stay bit-identical for the same ``(model, seed)``.
-        """
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -117,9 +97,6 @@ class ReliableLinks(LinkModel):
 
     def deliver(self, state, topology, advance, covered):
         return advance.receivers
-
-    def deliver_bool(self, state, view, tx_idx, expected_bool, covered_bool):
-        return expected_bool
 
 
 class IndependentLossLinks(LinkModel):
@@ -137,7 +114,7 @@ class IndependentLossLinks(LinkModel):
     name = "independent-loss"
 
     def __init__(self, loss_probability: float, *, seed: int | None = 0) -> None:
-        check_probability("loss_probability", loss_probability)
+        check_loss_probability("loss_probability", loss_probability)
         self.loss_probability = loss_probability
         self.seed = seed
         self.lossless = loss_probability == 0.0
@@ -152,8 +129,7 @@ class IndependentLossLinks(LinkModel):
         delivered: set[int] = set()
         # Canonical draw order: ascending (transmitter id, receiver id).
         # Every candidate pair consumes a draw — no short-circuit for
-        # receivers already delivered this round — so the bitset
-        # implementation can consume the stream as one vectorized block.
+        # receivers already delivered this round.
         for transmitter in sorted(advance.color):
             for receiver in sorted(topology.neighbors(transmitter)):
                 if receiver in covered:
@@ -161,14 +137,6 @@ class IndependentLossLinks(LinkModel):
                 if rng.random() >= p:
                     delivered.add(receiver)
         return frozenset(delivered)
-
-    def deliver_bool(self, state, view, tx_idx, expected_bool, covered_bool):
-        rng = state
-        rows, cols = view.delivery_candidates(tx_idx, covered_bool)
-        success = rng.random(len(cols)) >= self.loss_probability
-        delivered = np.zeros(view.num_nodes, dtype=bool)
-        delivered[cols[success]] = True
-        return delivered
 
 
 #: Registry of link models selectable by name (``SweepConfig.link_model``,

@@ -6,9 +6,7 @@ Driving a replay through an engine re-validates every advance against the
 network model, which makes it useful for
 
 * auditing externally produced traces (the engine raises on any violation),
-* regression-testing engine backends against each other with *zero* policy
-  cost (the backend microbenchmark in ``benchmarks/test_engine_backends.py``
-  uses it to time the engines' own machinery in isolation), and
+* timing the engine's own machinery with *zero* policy cost, and
 * re-rendering or re-measuring a stored schedule without re-running the
   scheduler that produced it.
 """
@@ -16,9 +14,8 @@ network model, which makes it useful for
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
 
-from repro.core.advance import Advance, BroadcastState, LaneStateView
+from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import SchedulingPolicy
 from repro.sim.trace import BroadcastResult
 
@@ -35,26 +32,15 @@ class ReplayPolicy(SchedulingPolicy):
         if len(self._by_time) != len(trace.advances):
             raise ValueError("trace contains two advances at the same time")
         self._times = sorted(self._by_time)
-        # A recorded advance with no receivers may sit at a slot with no
-        # awake frontier node, which the idle-slot skip would jump over;
-        # such traces must be replayed slot by slot.
-        self.frontier_driven = all(a.receivers for a in trace.advances)
 
     def select_advance(self, state: BroadcastState) -> Advance | None:
         return self._by_time.get(state.time)
-
-    def select_advance_batch(
-        self, views: Sequence[LaneStateView]
-    ) -> list[Advance | None]:
-        """Batched replay: one dict lookup per lane, no state inspection."""
-        return [view.policy._by_time.get(view.time) for view in views]
 
     def next_decision_slot(self, time: int) -> int | None:
         """The next recorded transmission slot (the replay acts at no other)."""
         index = bisect_left(self._times, time)
         if index == len(self._times):
             # Past the recorded trace: no further transmissions ever happen,
-            # which the engine discovers by timing out, as the reference
-            # engine would.
+            # which the engine discovers by timing out.
             return None if not self._times else self._times[-1] + 1_000_000_000
         return self._times[index]

@@ -21,8 +21,8 @@ paper's model constraints:
 
 Lossy traces (produced by ``run_broadcast(..., link_model=...)`` with a
 lossy :class:`~repro.sim.links.LinkModel`) are validated against the
-*delivered* receivers on both backends: every constraint above still holds,
-only the receiver-equality of check 4 relaxes to subset-plus-intent.
+*delivered* receivers: every constraint above still holds, only the
+receiver-equality of check 4 relaxes to subset-plus-intent.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations
 
-import numpy as np
-
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.bitset import bitset_view
 from repro.network.interference import conflicting_pairs, receivers_of
 from repro.network.topology import WSNTopology
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
@@ -57,30 +54,15 @@ def validate_broadcast(
     *,
     schedule: WakeupSchedule | None = None,
     require_complete: bool = True,
-    backend: str = "reference",
     lossy: bool = False,
 ) -> list[str]:
     """Return a list of violation descriptions (empty when the trace is valid).
-
-    ``backend="vectorized"`` runs the same checks over the numpy bitset view
-    (:mod:`repro.network.bitset`) and produces the identical violation list;
-    it is what ``run_broadcast(engine="vectorized")`` uses so that validation
-    does not hand the hot path back to Python set loops.  The reference
-    backend remains the oracle the vectorized one is tested against.
 
     ``lossy=True`` validates a trace produced over a lossy link model: the
     recorded receivers must be a subset of the model's expected receivers
     (the *delivered* subset), and any recorded ``intended_receivers`` must
     equal the expected receivers exactly.
     """
-    if backend in ("vectorized", "batched"):
-        # The batched executor produces traces bit-identical to the
-        # vectorized kernel, so its validation path is the bitset one.
-        return _validate_vectorized(topology, result, schedule, require_complete, lossy)
-    if backend != "reference":
-        raise ValueError(
-            f"unknown validation backend {backend!r}; expected 'reference' or 'vectorized'"
-        )
     violations: list[str] = []
     covered: set[int] = {result.source}
     delivered: dict[int, int] = {result.source: result.start_time - 1}
@@ -153,182 +135,12 @@ def validate_broadcast(
     return violations
 
 
-def _validate_vectorized(
-    topology: WSNTopology,
-    result: BroadcastResult,
-    schedule: WakeupSchedule | None,
-    require_complete: bool,
-    lossy: bool = False,
-) -> list[str]:
-    """Array-based twin of the reference validator (identical output).
-
-    Unlike the engine (which must check advances one at a time, with the
-    policy in the loop), post-hoc validation sees the whole trace at once,
-    so every model constraint is evaluated for *all* advances in a handful
-    of whole-trace array operations: membership matrices for colours and
-    receivers, a cumulative-OR coverage prefix, and one matrix product for
-    the hear counts.  The happy path — the only one that matters for speed —
-    touches no per-advance Python loop; when any constraint fails, the
-    reference validator re-runs to produce its exact violation messages.
-    """
-    from repro.sim.fast_engine import _window_for
-
-    advances = result.advances
-    if not advances:
-        return validate_broadcast(
-            topology,
-            result,
-            schedule=schedule,
-            require_complete=require_complete,
-            lossy=lossy,
-        )
-    view = bitset_view(topology)
-    index = view._index  # noqa: SLF001 - sibling module of the same backend
-    known = index.keys()
-    if (
-        result.source not in known
-        or not result.covered <= known
-        or any(
-            not (
-                advance.color <= known
-                and advance.receivers <= known
-                and advance.intended <= known
-            )
-            for advance in advances
-        )
-    ):
-        # Traces referencing unknown nodes cannot be mapped onto the array
-        # view; the reference validator reports them node by node.
-        return validate_broadcast(
-            topology,
-            result,
-            schedule=schedule,
-            require_complete=require_complete,
-            lossy=lossy,
-        )
-
-    def fail() -> list[str]:
-        return validate_broadcast(
-            topology,
-            result,
-            schedule=schedule,
-            require_complete=require_complete,
-            lossy=lossy,
-        )
-
-    num_advances = len(advances)
-    num_nodes = view.num_nodes
-    times = np.fromiter((a.time for a in advances), dtype=np.int64, count=num_advances)
-    if np.any(np.diff(times, prepend=result.start_time - 1) <= 0):
-        return fail()
-    if times[0] < result.start_time or times[-1] != result.end_time:
-        return fail()
-
-    # Membership matrices: row i describes advance i.
-    arange = np.arange(num_advances, dtype=np.int64)
-    color_rows = np.repeat(arange, [len(a.color) for a in advances])
-    recv_rows = np.repeat(arange, [len(a.receivers) for a in advances])
-    lookup = view.id_lookup
-    if lookup is not None:
-        # Membership was verified above, so a plain flatten plus one table
-        # gather suffices (no per-element dict lookups).
-        color_cols = lookup[
-            np.fromiter((u for a in advances for u in a.color), dtype=np.int64)
-        ]
-        recv_cols = lookup[
-            np.fromiter((u for a in advances for u in a.receivers), dtype=np.int64)
-        ]
-    else:
-        color_cols = np.fromiter(
-            (index[u] for a in advances for u in a.color), dtype=np.int64
-        )
-        recv_cols = np.fromiter(
-            (index[u] for a in advances for u in a.receivers), dtype=np.int64
-        )
-    color_mat = np.zeros((num_advances, num_nodes), dtype=np.float32)
-    color_mat[color_rows, color_cols] = 1.0
-    recv_mat = np.zeros((num_advances, num_nodes), dtype=bool)
-    recv_mat[recv_rows, recv_cols] = True
-
-    # Coverage before each advance: source plus the cumulative OR of the
-    # recorded receivers of all earlier advances.
-    covered_before = np.zeros((num_advances, num_nodes), dtype=bool)
-    covered_before[0, index[result.source]] = True
-    if num_advances > 1:
-        np.logical_or.accumulate(recv_mat[:-1], axis=0, out=covered_before[1:, :])
-        covered_before[1:, :] |= covered_before[0]
-
-    # 1. Every transmitter already held the message (gather, not a full
-    # matrix product: the transmitter count is tiny next to A x n).
-    if not covered_before[color_rows, color_cols].all():
-        return fail()
-    # 2. (duty-cycle) every transmitter was awake in its slot.
-    if schedule is not None:
-        window = _window_for(schedule, view)
-        if not window.active_pairs(color_cols, times[color_rows]).all():
-            return fail()
-    # 3+4. Hear counts give both the conflict test (an uncovered node hearing
-    # >= 2 transmitters is a common uncovered neighbour of some pair) and the
-    # expected receivers (uncovered nodes hearing >= 1).  float32 matmul hits
-    # BLAS and is exact for counts far beyond any node degree.
-    hear = color_mat @ view.adjacency_f32
-    uncovered_before = ~covered_before
-    if np.any((hear >= 2.0) & uncovered_before):
-        return fail()
-    expected_mat = (hear >= 1.0) & uncovered_before
-    if lossy:
-        # Delivered receivers must be a subset of the expected ones, and any
-        # recorded intent must match the model exactly.  Advances without a
-        # recorded intent (reliable advances inside a lossy validation) fall
-        # back to their receivers, for which equality is the subset check.
-        if np.any(recv_mat & ~expected_mat):
-            return fail()
-        intended_rows = np.repeat(arange, [len(a.intended) for a in advances])
-        if lookup is not None:
-            intended_cols = lookup[
-                np.fromiter((u for a in advances for u in a.intended), dtype=np.int64)
-            ]
-        else:
-            intended_cols = np.fromiter(
-                (index[u] for a in advances for u in a.intended), dtype=np.int64
-            )
-        intended_mat = np.zeros((num_advances, num_nodes), dtype=bool)
-        intended_mat[intended_rows, intended_cols] = True
-        has_intent = np.fromiter(
-            (a.intended_receivers is not None for a in advances),
-            dtype=bool,
-            count=num_advances,
-        )
-        if not np.array_equal(
-            intended_mat[has_intent], expected_mat[has_intent]
-        ):
-            return fail()
-    elif not np.array_equal(expected_mat, recv_mat):
-        return fail()
-    # 5. No duplicate delivery is implied by check 4: recorded receivers
-    # equal (or, lossy, are a subset of) the expected ones, which are
-    # restricted to ~covered_before (the complement of source + everything
-    # delivered earlier), so a duplicate necessarily fails the check above
-    # and takes the fail() path.
-
-    covered_final = covered_before[-1] | recv_mat[-1]
-    if result.covered == topology.node_set:
-        if not covered_final.all():
-            return fail()
-    elif not np.array_equal(covered_final, view.bool_from_nodes(result.covered)):
-        return fail()
-    if require_complete and not covered_final.all():
-        return fail()
-    return []
-
-
 def validate_multi_broadcast(
     topology: WSNTopology,
     result: MultiBroadcastResult,
     *,
     schedule: WakeupSchedule | None = None,
     require_complete: bool = True,
-    backend: str = "reference",
     lossy: bool = False,
 ) -> list[str]:
     """Validate a multi-source trace (empty list when valid).
@@ -337,9 +149,9 @@ def validate_multi_broadcast(
 
     1. **Per-message validity** — every message's :class:`BroadcastResult`
        must be a valid single-source trace on its own (same checks as
-       :func:`validate_broadcast`, on the requested ``backend``): the
-       contention kernel defers advances but never bends the paper's
-       network model for an individual wavefront.
+       :func:`validate_broadcast`): the contention kernel defers advances
+       but never bends the paper's network model for an individual
+       wavefront.
     2. **Cross-message contention rules** — for every round/slot shared by
        two messages: no node serves two messages at once (transmitter or
        intended receiver), and no intended receiver of one message is in
@@ -368,7 +180,6 @@ def validate_multi_broadcast(
             message,
             schedule=schedule,
             require_complete=require_complete,
-            backend=backend,
             lossy=lossy,
         ):
             violations.append(f"message {index} (source {message.source}): {violation}")
@@ -411,7 +222,6 @@ def assert_valid_multi(
     *,
     schedule: WakeupSchedule | None = None,
     require_complete: bool = True,
-    backend: str = "reference",
     lossy: bool = False,
 ) -> None:
     """Raise :class:`ScheduleViolation` when a multi-source trace is invalid."""
@@ -420,7 +230,6 @@ def assert_valid_multi(
         result,
         schedule=schedule,
         require_complete=require_complete,
-        backend=backend,
         lossy=lossy,
     )
     if violations:
@@ -437,7 +246,6 @@ def assert_valid(
     *,
     schedule: WakeupSchedule | None = None,
     require_complete: bool = True,
-    backend: str = "reference",
     lossy: bool = False,
 ) -> None:
     """Raise :class:`ScheduleViolation` when the trace violates the model."""
@@ -446,7 +254,6 @@ def assert_valid(
         result,
         schedule=schedule,
         require_complete=require_complete,
-        backend=backend,
         lossy=lossy,
     )
     if violations:

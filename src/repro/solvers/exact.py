@@ -48,8 +48,8 @@ def solve_broadcast(
     Parameters mirror :func:`repro.sim.broadcast.run_broadcast` where they
     overlap; ``covered`` generalises the initial state for callers resuming
     a partially covered broadcast (defaults to ``{source}``).  The returned
-    :class:`~repro.solvers.branch_bound.SolverPlan` replays through any
-    engine backend unchanged.
+    :class:`~repro.solvers.branch_bound.SolverPlan` replays through the
+    engines unchanged.
     """
     if backend not in SOLVER_BACKENDS:
         raise ValueError(

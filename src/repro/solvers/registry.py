@@ -1,8 +1,7 @@
 """The solver-tier registry: one catalog for every scheduler guarantee level.
 
 Mirrors the other capability registries of the stack
-(:data:`repro.sim.broadcast.ENGINE_BACKENDS`,
-:data:`repro.sim.links.LINK_MODELS`, the scenario and duty-model
+(:data:`repro.sim.links.LINK_MODELS`, the scenario and duty-model
 registries): :data:`SOLVER_TIERS` maps a tier name to a
 :class:`SolverTier` describing its optimality guarantee, instance-size
 limit and workload support, plus the policy factory that realises it.  The

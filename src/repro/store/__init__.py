@@ -8,7 +8,7 @@ cells perfectly cacheable by content hash.  This package persists them:
   (what is hashed, what is deliberately excluded, and the schema version
   that fences off stale caches);
 * :mod:`repro.store.backends` — pluggable shard formats
-  (:data:`STORE_BACKENDS`, mirroring ``ENGINE_BACKENDS``);
+  (:data:`STORE_BACKENDS`);
 * :mod:`repro.store.store` — :class:`ExperimentStore`, the sqlite-indexed,
   atomically-sharded cell cache with ``stats`` / ``gc`` / ``export``;
 * :mod:`repro.store.query` — cached records back out as figure-ready

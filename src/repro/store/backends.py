@@ -1,4 +1,4 @@
-"""Pluggable record-shard formats, mirroring ``ENGINE_BACKENDS``.
+"""Pluggable record-shard formats.
 
 A :class:`StoreBackend` turns a batch of
 :class:`~repro.experiments.runner.RunRecord` objects into shard text and
@@ -7,8 +7,7 @@ including every float (JSON and ``repr`` both round-trip IEEE-754 doubles
 exactly).  The store owns layout and atomicity; the backend owns only the
 bytes inside one shard, so a new format (parquet, msgpack, ...) plugs in
 here and is immediately selectable everywhere — ``ExperimentStore``,
-``store export``, the benchmarks — exactly like a new engine backend in
-:data:`repro.sim.broadcast.ENGINE_BACKENDS`.
+``store export``, the benchmarks.
 
 ``"jsonl"`` (the default) writes one canonical-JSON object per record —
 self-describing, append-friendly, greppable.  ``"csv"`` writes the same

@@ -3,8 +3,8 @@
 A sweep grid is embarrassingly parallel across ``(node count, repetition)``
 cells, and the determinism contract (see :mod:`repro.experiments.runner`)
 makes every cell's records a pure function of its configuration — never of
-the engine backend, the worker count, or the rest of the grid.  A
-:class:`CellKey` captures exactly that function's input:
+the worker count or the rest of the grid.  A :class:`CellKey` captures
+exactly that function's input:
 
 * the cell coordinates (``system``, ``rate``, ``num_nodes``,
   ``repetition``),
@@ -25,9 +25,9 @@ shard filename, making the store content-addressed: identical configs in
 different processes converge on the same digest, different configs (even by
 one loss probability) never collide.
 
-Excluded on purpose: ``engine``, ``workers`` (bit-identical records by
-contract — a cell cached from a vectorized 8-worker run satisfies a
-reference serial run), and the grid shape ``node_counts`` / ``repetitions``
+Excluded on purpose: ``workers`` (bit-identical records by contract — a
+cell cached from an 8-worker run satisfies a serial run), and the grid
+shape ``node_counts`` / ``repetitions``
 (the cell's own coordinates replace them, so growing a grid only pays for
 the new cells).
 """

@@ -37,8 +37,7 @@ def _config_from_params(
 
     The key parameters are exactly ``SweepConfig.cell_key_fields()``; the
     excluded grid shape is resupplied from the matched cells and the
-    excluded ``engine``/``workers`` fall back to their (record-irrelevant)
-    defaults.
+    excluded ``workers`` falls back to its (record-irrelevant) default.
     """
     from repro.core.time_counter import SearchConfig
     from repro.experiments.config import SweepConfig

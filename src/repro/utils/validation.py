@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["require", "check_positive", "check_non_negative", "check_probability"]
+__all__ = [
+    "require",
+    "check_positive",
+    "check_non_negative",
+    "check_probability",
+    "check_loss_probability",
+]
 
 
 def require(condition: bool, message: str) -> None:
@@ -36,6 +42,16 @@ def check_probability(name: str, value: float) -> float:
     """Validate that ``value`` lies in [0, 1] and return it."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
+def check_loss_probability(name: str, value: float) -> float:
+    """Validate a per-link loss probability: in [0, 1), since at 1 no
+    delivery can ever succeed and a broadcast would never complete."""
+    if not 0.0 <= value < 1.0:
+        raise ValueError(
+            f"{name} must be in [0, 1) (at 1 no delivery ever succeeds), got {value!r}"
+        )
     return value
 
 

@@ -8,8 +8,7 @@ between several colours, so the time-counter search is pinned as well as
 the single-candidate decisions.
 
 The digests were recorded before any performance work on the policy layer;
-an optimisation that changes a single record fails here.  Every engine
-backend must reproduce the same digest.
+an optimisation that changes a single record fails here.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ def rows_digest(rows: list[list[object]]) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("engine", ["reference", "vectorized", "batched"])
 @pytest.mark.parametrize(("system", "rate"), sorted(GOLDEN))
-def test_sweep_records_match_golden_digest(system, rate, engine):
-    rows = run_sweep(GRID, system=system, rate=rate, engine=engine).to_rows()
+def test_sweep_records_match_golden_digest(system, rate):
+    rows = run_sweep(GRID, system=system, rate=rate).to_rows()
     assert len(rows) == 2 * 4  # two node counts x the four-policy line-up
     assert rows_digest(rows) == GOLDEN[(system, rate)]

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from repro.network.topology import WSNTopology
-from repro.sim.broadcast import ENGINE_BACKENDS
 from repro.sim.links import LINK_MODELS, build_link_model
 
 # Connected-UDG generation rejects disconnected draws, which trips the
@@ -83,29 +82,15 @@ def is_power_of_two_area(value: float) -> bool:  # pragma: no cover - helper
 
 
 # ---------------------------------------------------------------------------
-# Backend conformance fixtures
+# Conformance fixtures
 #
-# Every engine backend must be bit-identical to the reference oracle for
-# every link model — that is the contract new backends sign by registering
-# in ENGINE_BACKENDS.  The fixtures below parameterize conformance suites
-# over the *registries* (not hand-written name lists), so registering a new
-# backend or link model automatically enrolls it in the whole matrix.
+# The conformance suites are parameterized over the link-model *registry*
+# (not a hand-written name list), so registering a new link model
+# automatically enrolls it in the whole matrix.
 
 #: Loss probability used whenever a conformance run needs a lossy model;
 #: high enough that failed deliveries actually occur on small topologies.
 CONFORMANCE_LOSS = 0.25
-
-
-@pytest.fixture(params=sorted(ENGINE_BACKENDS))
-def engine_backend(request) -> str:
-    """Every registered engine backend, including the reference oracle."""
-    return request.param
-
-
-@pytest.fixture(params=sorted(name for name in ENGINE_BACKENDS if name != "reference"))
-def fast_backend(request) -> str:
-    """Every non-reference backend (the ones checked against the oracle)."""
-    return request.param
 
 
 @pytest.fixture(params=sorted(LINK_MODELS))
@@ -117,9 +102,8 @@ def link_model_name(request) -> str:
 def conformance_link_model(name: str, seed: int = 0):
     """A concrete link model for a conformance run.
 
-    The lossy models get a fixed, test-controlled seed: backends must be
-    bit-identical per (model, seed), so the same seed goes to every backend
-    of one comparison.
+    The lossy models get a fixed, test-controlled seed: traces are a pure
+    function of (model, seed), so repeated runs with one seed must agree.
     """
     loss = 0.0 if name == "reliable" else CONFORMANCE_LOSS
     return build_link_model(name, loss_probability=loss, seed=seed)

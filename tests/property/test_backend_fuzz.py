@@ -1,19 +1,22 @@
-"""Seeded stdlib-``random`` fuzzing across every engine backend.
+"""Seeded stdlib-``random`` fuzzing of the engines.
 
-Hypothesis drives the structured parity suites; this file adds a second,
+Hypothesis drives the structured property suites; this file adds a second,
 independent randomness source — the standard library's ``random`` module
-with explicit seeds — so backend conformance is not hostage to one
-generator's corpus shape.  Each fuzz case draws a random connected UDG
-deployment, a random duty cycle, a random frontier policy and a random
-loss probability, then asserts the two invariants the batched executor
-must never break:
+with explicit seeds — so conformance is not hostage to one generator's
+corpus shape.  Each fuzz case draws a random connected UDG deployment, a
+random duty cycle, a random frontier policy and a random loss probability,
+then asserts two invariants:
 
-1. **Cross-backend trace equality** — every registered backend returns a
-   trace equal to the reference engines'.
+1. **Seeded determinism** — running the same case twice returns equal
+   traces.
 2. **Validator cleanliness** — the trace passes
    :func:`~repro.sim.validation.validate_broadcast` (against the delivered
-   receivers when lossy), and the streamed run of the same parameters
-   reproduces the advance sequence and summary metrics exactly.
+   receivers when lossy).
+
+A subset of the seeds is re-run as a multi-source workload (two or three
+concurrent messages from distinct fuzzed sources) under the same two
+invariants, checked by
+:func:`~repro.sim.validation.validate_multi_broadcast`.
 
 All draws derive from the test's seed parameter, so a failing case replays
 from its pytest id alone.
@@ -29,11 +32,9 @@ from repro.baselines.flooding import LargestFirstPolicy
 from repro.core.policies import EModelPolicy, GreedyOptPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
-from repro.sim.batched import BroadcastTask, run_batched
-from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
+from repro.sim.broadcast import run_broadcast
 from repro.sim.links import IndependentLossLinks
-from repro.sim.streaming import stream_broadcast
-from repro.sim.validation import validate_broadcast
+from repro.sim.validation import validate_broadcast, validate_multi_broadcast
 
 _POLICIES = (
     ("e-model", EModelPolicy),
@@ -77,113 +78,43 @@ def _fuzz_case(seed: int):
 
 @pytest.mark.slow_property
 @pytest.mark.parametrize("seed", range(24))
-def test_fuzzed_backends_agree_and_validate(seed):
+def test_fuzzed_traces_are_deterministic_and_validate(seed):
     topology, source, schedule, factory, link = _fuzz_case(seed)
     kwargs = dict(
         schedule=schedule,
         align_start=schedule is not None,
         link_model=link,
     )
-    traces = {
-        engine: run_broadcast(topology, source, factory(), engine=engine, **kwargs)
-        for engine in sorted(ENGINE_BACKENDS)
-    }
-    reference = traces["reference"]
-    for engine, trace in traces.items():
-        assert trace == reference, f"backend {engine!r} diverged on fuzz seed {seed}"
-    lossy = link is not None
-    for backend in ("reference", "vectorized"):
-        assert (
-            validate_broadcast(
-                topology, reference, schedule=schedule, backend=backend, lossy=lossy
-            )
-            == []
-        ), f"fuzz seed {seed}: trace failed validation under {backend!r}"
-
-
-@pytest.mark.slow_property
-@pytest.mark.parametrize("seed", range(0, 24, 4))
-def test_fuzzed_batched_decisions_match_fallback(seed):
-    """Batched decisions == per-lane fallback == per-cell vectorized runs.
-
-    Six fuzz cases form one heterogeneous stripe (mixed node counts, duty
-    cycles, policies and loss), executed three ways per chunking: the
-    batched decision protocol, the per-lane fallback, and six independent
-    ``run_broadcast`` calls.  Policies and link models are stateful, so
-    each execution rebuilds the stripe from the same seeds (``_fuzz_case``
-    is a pure function of its seed).
-    """
-    case_seeds = range(seed, seed + 6)
-
-    def stripe() -> list[BroadcastTask]:
-        tasks = []
-        for case_seed in case_seeds:
-            topology, source, schedule, factory, link = _fuzz_case(case_seed)
-            tasks.append(
-                BroadcastTask(
-                    topology,
-                    source,
-                    factory(),
-                    schedule=schedule,
-                    align_start=schedule is not None,
-                    link_model=link,
-                )
-            )
-        return tasks
-
-    per_cell = []
-    for case_seed in case_seeds:
-        topology, source, schedule, factory, link = _fuzz_case(case_seed)
-        per_cell.append(
-            run_broadcast(
-                topology,
-                source,
-                factory(),
-                schedule=schedule,
-                align_start=schedule is not None,
-                link_model=link,
-                engine="vectorized",
-            )
-        )
-    lane_count = len(case_seeds)
-    for batch in (0, 1, lane_count - 1):
-        fallback = run_batched(
-            stripe(), batch=batch, batch_decisions=False, validate=False
-        )
-        batched = run_batched(stripe(), batch=batch, validate=False)
-        assert batched == fallback, (
-            f"fuzz seed {seed}: batched decisions diverged from the "
-            f"per-lane fallback (batch={batch})"
-        )
-        assert batched == per_cell, (
-            f"fuzz seed {seed}: batched stripe diverged from per-cell "
-            f"vectorized runs (batch={batch})"
-        )
+    first, second = (
+        run_broadcast(topology, source, factory(), **kwargs) for _ in range(2)
+    )
+    assert second == first, f"fuzz seed {seed}: same inputs, different traces"
+    assert (
+        validate_broadcast(topology, first, schedule=schedule, lossy=link is not None)
+        == []
+    ), f"fuzz seed {seed}: trace failed validation"
 
 
 @pytest.mark.slow_property
 @pytest.mark.parametrize("seed", range(0, 24, 3))
-def test_fuzzed_streaming_matches_materialized(seed):
-    """Streaming the same fuzz case reproduces the materialized trace."""
+def test_fuzzed_multisource_traces_are_deterministic_and_validate(seed):
     topology, source, schedule, factory, link = _fuzz_case(seed)
+    rng = random.Random(seed + 10_000)
+    others = sorted(topology.node_set - {source})
+    sources = [source, *rng.sample(others, rng.randint(1, 2))]
     kwargs = dict(
         schedule=schedule,
         align_start=schedule is not None,
         link_model=link,
     )
-    materialized = run_broadcast(
-        topology, source, factory(), engine="vectorized", **kwargs
+    first, second = (
+        run_broadcast(topology, sources, factory(), **kwargs) for _ in range(2)
     )
-    streamed = []
-    summary = stream_broadcast(
-        topology, source, factory(), sink=streamed.append, **kwargs
-    )
-    assert tuple(streamed) == materialized.advances
-    assert summary.start_time == materialized.start_time
-    assert summary.end_time == materialized.end_time
-    assert summary.latency == materialized.latency
-    assert summary.covered_count == len(materialized.covered)
-    assert summary.num_advances == materialized.num_advances
-    assert summary.total_transmissions == materialized.total_transmissions
-    assert summary.failed_deliveries == materialized.failed_deliveries
-    assert summary.idle_time == materialized.idle_time
+    assert second == first, f"fuzz seed {seed}: same inputs, different traces"
+    assert [message.source for message in first.messages] == sources
+    assert (
+        validate_multi_broadcast(
+            topology, first, schedule=schedule, lossy=link is not None
+        )
+        == []
+    ), f"fuzz seed {seed}: multi-source trace failed validation"

@@ -2,19 +2,19 @@
 
 The tentpole invariants of the link-model refactor:
 
-* **lossy engine parity** — ``run_broadcast(engine="vectorized")`` with an
-  :class:`~repro.sim.links.IndependentLossLinks` model reproduces the
-  reference engine's lossy traces *bit-for-bit* for the same (model, seed),
-  across deployment scenarios, duty models and loss probabilities;
+* **seeded lossy traces** — ``run_broadcast`` with an
+  :class:`~repro.sim.links.IndependentLossLinks` model reproduces its lossy
+  traces *bit-for-bit* for the same (model, seed), across deployment
+  scenarios, duty models and loss probabilities;
 * **zero-loss identity** — ``IndependentLossLinks(0.0)`` is declared
   lossless and takes the reliable code path, so its traces compare *equal*
   to :class:`~repro.sim.links.ReliableLinks` runs;
 * **worker invariance** — lossy sweep records are bit-identical for any
   worker count (the per-cell ``"link-loss"`` seed split removes any
   dependence on execution order);
-* **validator agreement** — both validator backends accept every lossy
-  trace when told it is lossy, and the reference validator rejects a lossy
-  trace when treated as reliable (the receivers genuinely differ).
+* **validator agreement** — the validator accepts every lossy trace when
+  told it is lossy, and rejects it when treated as reliable (the receivers
+  genuinely differ).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.sim.links import IndependentLossLinks, ReliableLinks
 from repro.sim.validation import validate_broadcast
 from repro.utils.rng import derive_seed
 
-# Cross-backend parity matrices are the backend fast-path selection in CI.
+# The loss matrices are part of CI's slow_property selection.
 pytestmark = pytest.mark.slow_property
 
 PARITY_SCENARIOS = ("uniform", "clustered", "ring")
@@ -70,64 +70,63 @@ def _schedule(topology, duty_model: str, seed: int):
 @pytest.mark.parametrize("loss", LOSS_PROBABILITIES)
 @pytest.mark.parametrize("duty_model", DUTY_MODELS)
 @pytest.mark.parametrize("scenario", PARITY_SCENARIOS)
-def test_lossy_duty_traces_identical_across_backends(scenario, duty_model, loss):
-    """reference-lossy ≡ vectorized-lossy on the duty-cycle system."""
+def test_lossy_duty_traces_are_seed_deterministic(scenario, duty_model, loss):
+    """Same (model, seed), same lossy trace on the duty-cycle system."""
     topology, source = _deployment(scenario, seed=101)
     schedule = _schedule(topology, duty_model, seed=101)
-    traces = {}
-    for engine in ("reference", "vectorized"):
-        traces[engine] = run_broadcast(
+    first, second = (
+        run_broadcast(
             topology,
             source,
             EModelPolicy(),
             schedule=schedule,
             align_start=True,
-            engine=engine,
             link_model=IndependentLossLinks(loss, seed=2012),
         )
-    assert traces["reference"] == traces["vectorized"]
-    assert traces["reference"].covered == topology.node_set
+        for _ in range(2)
+    )
+    assert first == second
+    assert first.covered == topology.node_set
 
 
 @pytest.mark.parametrize("loss", LOSS_PROBABILITIES)
 @pytest.mark.parametrize("scenario", PARITY_SCENARIOS)
-def test_lossy_sync_traces_identical_across_backends(scenario, loss):
-    """reference-lossy ≡ vectorized-lossy on the round-based system."""
+def test_lossy_sync_traces_are_seed_deterministic(scenario, loss):
+    """Same (model, seed), same lossy trace on the round-based system."""
     topology, source = _deployment(scenario, seed=77)
-    traces = {}
-    for engine in ("reference", "vectorized"):
-        traces[engine] = run_broadcast(
+    first, second = (
+        run_broadcast(
             topology,
             source,
             LargestFirstPolicy(),
-            engine=engine,
             link_model=IndependentLossLinks(loss, seed=5),
         )
-    assert traces["reference"] == traces["vectorized"]
+        for _ in range(2)
+    )
+    assert first == second
+    assert first.covered == topology.node_set
 
 
-@pytest.mark.parametrize("engine", ["reference", "vectorized"])
-def test_zero_loss_is_the_reliable_identity(engine):
+def test_zero_loss_is_the_reliable_identity():
     """loss=0.0 takes the lossless path: traces equal ReliableLinks runs."""
     topology, source = _deployment("uniform", seed=13)
     reliable = run_broadcast(
-        topology, source, EModelPolicy(), engine=engine, link_model=ReliableLinks()
+        topology, source, EModelPolicy(), link_model=ReliableLinks()
     )
     zero_loss = run_broadcast(
         topology,
         source,
         EModelPolicy(),
-        engine=engine,
         link_model=IndependentLossLinks(0.0, seed=99),
     )
-    default = run_broadcast(topology, source, EModelPolicy(), engine=engine)
+    default = run_broadcast(topology, source, EModelPolicy())
     assert zero_loss == reliable == default
     assert all(a.intended_receivers is None for a in zero_loss.advances)
 
 
 @pytest.mark.parametrize("scenario", ("uniform", "clustered"))
-def test_lossy_trace_validates_on_both_backends(scenario):
-    """Lossy traces are validated against *delivered* receivers everywhere."""
+def test_lossy_trace_validates(scenario):
+    """Lossy traces are validated against *delivered* receivers."""
     topology, source = _deployment(scenario, seed=19)
     trace = run_broadcast(
         topology,
@@ -137,11 +136,10 @@ def test_lossy_trace_validates_on_both_backends(scenario):
         validate=False,
     )
     assert trace.failed_deliveries > 0  # the seed actually exercises losses
-    for backend in ("reference", "vectorized"):
-        assert validate_broadcast(topology, trace, backend=backend, lossy=True) == []
+    assert validate_broadcast(topology, trace, lossy=True) == []
     # Treated as a reliable trace, the delivered receivers no longer match
     # the model's expected receivers — the strict validator must object.
-    strict = validate_broadcast(topology, trace, backend="reference", lossy=False)
+    strict = validate_broadcast(topology, trace, lossy=False)
     assert strict, "a genuinely lossy trace passed strict reliable validation"
 
 
@@ -170,21 +168,13 @@ def test_lossy_sweep_records_are_worker_invariant():
     assert all(r.loss_probability == 0.2 for r in serial.records)
 
 
-def test_lossy_sweep_records_are_engine_invariant():
-    """The loss axis composes with the engine axis: records match exactly."""
-    config = _lossy_config()
-    reference = run_sweep(config, system="duty", rate=6, engine="reference")
-    vectorized = run_sweep(config, system="duty", rate=6, engine="vectorized")
-    assert reference.records == vectorized.records
-
-
 def test_lossy_sweep_composes_with_scenario_and_duty_model():
-    """loss x scenario x duty-model x engine x workers is one orthogonal grid."""
+    """loss x scenario x duty-model x workers is one orthogonal grid."""
     config = dataclasses.replace(
         _lossy_config(), scenario="clustered", duty_model="two-tier"
     )
-    serial = run_sweep(config, system="duty", rate=6, engine="reference", workers=1)
-    parallel = run_sweep(config, system="duty", rate=6, engine="vectorized", workers=2)
+    serial = run_sweep(config, system="duty", rate=6, workers=1)
+    parallel = run_sweep(config, system="duty", rate=6, workers=2)
     assert serial.records == parallel.records
     assert serial.records, "the composed sweep produced no records"
     assert {r.scenario for r in serial.records} == {"clustered"}

@@ -2,18 +2,18 @@
 
 The tentpole invariants of the multi-source workload:
 
-* **engine parity** — ``run_broadcast(sources, ...)`` produces *bit-identical*
-  :class:`~repro.sim.trace.MultiBroadcastResult` traces on the reference and
-  the vectorized backend, across deployment scenarios, duty models, message
-  counts ``k ∈ {1, 2, 4}`` and every registered link model;
+* **seeded determinism** — ``run_broadcast(sources, ...)`` reproduces its
+  :class:`~repro.sim.trace.MultiBroadcastResult` traces *bit-for-bit*
+  across deployment scenarios, duty models, message counts
+  ``k ∈ {1, 2, 4}`` and every registered link model;
 * **single-source identity** — a one-element source list wraps a per-message
   trace *equal* to the plain single-source ``run_broadcast`` call, reliable
   and lossy alike;
 * **worker invariance** — multi-source sweep records are bit-identical for
   any worker count (the per-cell ``"multi-source"`` placement split removes
-  any dependence on execution order) and for either engine;
-* **validator agreement** — both validator backends accept every
-  multi-source trace, per message and across messages.
+  any dependence on execution order);
+* **validator agreement** — the validator accepts every multi-source
+  trace, per message and across messages.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.sim.links import IndependentLossLinks, ReliableLinks
 from repro.sim.validation import validate_multi_broadcast
 from repro.utils.rng import derive_seed
 
-# Cross-backend parity matrices are the backend fast-path selection in CI.
+# The multi-source matrices are part of CI's slow_property selection.
 pytestmark = pytest.mark.slow_property
 
 PARITY_SCENARIOS = ("uniform", "clustered", "ring")
@@ -78,70 +78,69 @@ def _link(name: str):
 @pytest.mark.parametrize("k", SOURCE_COUNTS)
 @pytest.mark.parametrize("duty_model", DUTY_MODELS)
 @pytest.mark.parametrize("scenario", PARITY_SCENARIOS)
-def test_multisource_duty_traces_identical_across_backends(scenario, duty_model, k):
-    """reference ≡ vectorized for every (scenario, duty model, k) duty cell."""
+def test_multisource_duty_traces_are_deterministic(scenario, duty_model, k):
+    """Same inputs, same trace for every (scenario, duty model, k) duty cell."""
     topology, anchor = _deployment(scenario, seed=211)
     schedule = _schedule(topology, duty_model, seed=211)
     sources = select_sources(topology, k, placement="spread", seed=3, anchor=anchor)
-    traces = {}
-    for engine in ("reference", "vectorized"):
-        traces[engine] = run_broadcast(
+    first, second = (
+        run_broadcast(
             topology,
             list(sources),
             EModelPolicy(),
             schedule=schedule,
             align_start=True,
-            engine=engine,
         )
-    assert traces["reference"] == traces["vectorized"]
-    assert traces["reference"].is_complete(topology)
-    assert traces["reference"].num_messages == k
+        for _ in range(2)
+    )
+    assert first == second
+    assert first.is_complete(topology)
+    assert first.num_messages == k
 
 
 @pytest.mark.parametrize("link_model", LINK_MODELS)
 @pytest.mark.parametrize("k", SOURCE_COUNTS)
 @pytest.mark.parametrize("scenario", PARITY_SCENARIOS)
-def test_multisource_sync_traces_identical_across_backends(scenario, k, link_model):
-    """reference ≡ vectorized on the round-based system, all link models."""
+def test_multisource_sync_traces_are_deterministic(scenario, k, link_model):
+    """Same inputs, same trace on the round-based system, all link models."""
     topology, anchor = _deployment(scenario, seed=87)
     sources = select_sources(topology, k, placement="random", seed=9, anchor=anchor)
-    traces = {}
-    for engine in ("reference", "vectorized"):
-        traces[engine] = run_broadcast(
+    first, second = (
+        run_broadcast(
             topology,
             list(sources),
             EModelPolicy(),
-            engine=engine,
             link_model=_link(link_model),
         )
-    assert traces["reference"] == traces["vectorized"]
-    assert traces["reference"].is_complete(topology)
+        for _ in range(2)
+    )
+    assert first == second
+    assert first.is_complete(topology)
 
 
 @pytest.mark.parametrize("link_model", LINK_MODELS)
 @pytest.mark.parametrize("duty_model", DUTY_MODELS)
-def test_multisource_lossy_duty_parity(duty_model, link_model):
+def test_multisource_lossy_duty_is_deterministic(duty_model, link_model):
     """The loss axis composes with multi-source on the duty-cycle system."""
     topology, anchor = _deployment("clustered", seed=51)
     schedule = _schedule(topology, duty_model, seed=51)
     sources = select_sources(topology, 3, placement="spread", seed=4, anchor=anchor)
-    traces = {}
-    for engine in ("reference", "vectorized"):
-        traces[engine] = run_broadcast(
+    first, second = (
+        run_broadcast(
             topology,
             list(sources),
             EModelPolicy(),
             schedule=schedule,
             align_start=True,
-            engine=engine,
             link_model=_link(link_model),
         )
-    assert traces["reference"] == traces["vectorized"]
+        for _ in range(2)
+    )
+    assert first == second
 
 
 @pytest.mark.parametrize("link_model", LINK_MODELS)
-@pytest.mark.parametrize("engine", ["reference", "vectorized"])
-def test_single_element_sources_reproduce_single_source_traces(engine, link_model):
+def test_single_element_sources_reproduce_single_source_traces(link_model):
     """``sources=[s]`` wraps a trace equal to the plain single-source run."""
     topology, source = _deployment("uniform", seed=33)
     schedule = _schedule(topology, "uniform", seed=33)
@@ -151,7 +150,6 @@ def test_single_element_sources_reproduce_single_source_traces(engine, link_mode
         EModelPolicy(),
         schedule=schedule,
         align_start=True,
-        engine=engine,
         link_model=_link(link_model),
     )
     single = run_broadcast(
@@ -160,7 +158,6 @@ def test_single_element_sources_reproduce_single_source_traces(engine, link_mode
         EModelPolicy(),
         schedule=schedule,
         align_start=True,
-        engine=engine,
         link_model=_link(link_model),
     )
     assert multi.num_messages == 1
@@ -169,8 +166,8 @@ def test_single_element_sources_reproduce_single_source_traces(engine, link_mode
 
 
 @pytest.mark.parametrize("scenario", ("uniform", "ring"))
-def test_multisource_trace_validates_on_both_backends(scenario):
-    """Per-message and cross-message checks pass on both validator backends."""
+def test_multisource_trace_validates(scenario):
+    """Per-message and cross-message checks pass the validator."""
     topology, anchor = _deployment(scenario, seed=19)
     schedule = _schedule(topology, "two-tier", seed=19)
     sources = select_sources(topology, 4, placement="corner", seed=1,
@@ -183,10 +180,7 @@ def test_multisource_trace_validates_on_both_backends(scenario):
         align_start=True,
         validate=False,
     )
-    for backend in ("reference", "vectorized"):
-        assert validate_multi_broadcast(
-            topology, trace, schedule=schedule, backend=backend
-        ) == []
+    assert validate_multi_broadcast(topology, trace, schedule=schedule) == []
 
 
 def _multi_config(**overrides) -> SweepConfig:
@@ -216,16 +210,8 @@ def test_multisource_sweep_records_are_worker_invariant():
     assert all(r.source_placement == "spread" for r in serial.records)
 
 
-def test_multisource_sweep_records_are_engine_invariant():
-    """The multi-source axis composes with the engine axis: records match."""
-    config = _multi_config(source_placement="random")
-    reference = run_sweep(config, system="duty", rate=6, engine="reference")
-    vectorized = run_sweep(config, system="duty", rate=6, engine="vectorized")
-    assert reference.records == vectorized.records
-
-
 def test_multisource_sweep_composes_with_loss_scenario_and_duty_model():
-    """sources x loss x scenario x duty-model x engine x workers is one grid."""
+    """sources x loss x scenario x duty-model x workers is one grid."""
     config = dataclasses.replace(
         _multi_config(),
         scenario="clustered",
@@ -233,8 +219,8 @@ def test_multisource_sweep_composes_with_loss_scenario_and_duty_model():
         link_model="independent-loss",
         loss_probability=0.2,
     )
-    serial = run_sweep(config, system="duty", rate=6, engine="reference", workers=1)
-    parallel = run_sweep(config, system="duty", rate=6, engine="vectorized", workers=2)
+    serial = run_sweep(config, system="duty", rate=6, workers=1)
+    parallel = run_sweep(config, system="duty", rate=6, workers=2)
     assert serial.records == parallel.records
     assert serial.records, "the composed sweep produced no records"
     assert {r.n_sources for r in serial.records} == {3}

@@ -1,7 +1,7 @@
 """The store's tentpole property: warm and resumed sweeps are bit-identical.
 
 The acceptance criterion of the persistent experiment store, executable:
-for deployment scenarios × engine backends × worker counts,
+for deployment scenarios × worker counts,
 
 * **warm identity** — ``run_sweep`` with a fully populated store returns
   records *bit-identical* to a cold (store-less) run — loading cells from
@@ -9,9 +9,8 @@ for deployment scenarios × engine backends × worker counts,
 * **resume identity** — a *partially* populated store (an interrupted
   sweep, or a smaller grid persisted earlier) resumes to the same records
   while simulating only the missing cells;
-* **cross-execution reuse** — cells cached by one (engine, workers)
-  combination satisfy every other combination, because the cache key
-  deliberately excludes both.
+* **cross-execution reuse** — cells cached by one worker count satisfy
+  every other, because the cache key deliberately excludes it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.experiments.runner import run_sweep
 from repro.store import ExperimentStore
 
 SCENARIOS = ("uniform", "clustered")
-ENGINES = ("reference", "vectorized")
 WORKER_COUNTS = (1, 2)
 
 #: Cheap line-up so the grid (2 node counts x 2 repetitions) stays fast.
@@ -47,44 +45,41 @@ def _config(scenario: str, node_counts: tuple[int, ...] = (16, 24)) -> SweepConf
     )
 
 
-def _sweep(config, *, engine="reference", workers=1, **kwargs):
+def _sweep(config, *, workers=1, **kwargs):
     return run_sweep(
         config,
         system="duty",
         rate=5,
         policies=POLICIES,
-        engine=engine,
         workers=workers,
         **kwargs,
     )
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_warm_store_is_bit_identical_to_cold_run(tmp_path, scenario, engine, workers):
+def test_warm_store_is_bit_identical_to_cold_run(tmp_path, scenario, workers):
     config = _config(scenario)
-    cold = _sweep(config, engine=engine, workers=workers)
+    cold = _sweep(config, workers=workers)
     with ExperimentStore(tmp_path / "store") as store:
-        populate = _sweep(config, engine=engine, workers=workers, store=store)
+        populate = _sweep(config, workers=workers, store=store)
         assert populate.records == cold.records
         assert populate.cache_hits == 0
         assert populate.cache_misses == 4
-        warm = _sweep(config, engine=engine, workers=workers, store=store)
+        warm = _sweep(config, workers=workers, store=store)
     assert warm.records == cold.records
     assert warm.cache_hits == 4
     assert warm.cache_misses == 0
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_partial_store_resumes_simulating_only_missing_cells(
-    tmp_path, monkeypatch, scenario, engine, workers
+    tmp_path, monkeypatch, scenario, workers
 ):
     """An interrupted sweep's store completes to the cold-run records."""
     full = _config(scenario)
-    cold = _sweep(full, engine=engine, workers=workers)
+    cold = _sweep(full, workers=workers)
     with ExperimentStore(tmp_path / "store") as store:
         # Interrupt-equivalent: only the first node count's cells persisted
         # (the same digests the full grid derives — the grid shape is not
@@ -104,7 +99,7 @@ def test_partial_store_resumes_simulating_only_missing_cells(
             # In-process execution lets us count exactly which cells were
             # simulated; multi-worker runs assert via the hit/miss split.
             monkeypatch.setattr(runner_mod, "_run_cell", counting_run_cell)
-        resumed = _sweep(full, engine=engine, workers=workers, store=store)
+        resumed = _sweep(full, workers=workers, store=store)
         if workers == 1:
             assert sorted(simulated) == [(24, 0), (24, 1)]
     assert resumed.records == cold.records
@@ -113,16 +108,15 @@ def test_partial_store_resumes_simulating_only_missing_cells(
 
 
 def test_cells_cached_by_one_execution_mode_serve_all_others(tmp_path):
-    """engine/workers are excluded from the key: one population, all reuse."""
+    """workers is excluded from the key: one population, all reuse."""
     config = _config("clustered")
     cold = _sweep(config)
     with ExperimentStore(tmp_path / "store") as store:
-        _sweep(config, engine="vectorized", workers=2, store=store)
-        for engine in ENGINES:
-            for workers in WORKER_COUNTS:
-                warm = _sweep(config, engine=engine, workers=workers, store=store)
-                assert warm.records == cold.records
-                assert (warm.cache_hits, warm.cache_misses) == (4, 0)
+        _sweep(config, workers=2, store=store)
+        for workers in WORKER_COUNTS:
+            warm = _sweep(config, workers=workers, store=store)
+            assert warm.records == cold.records
+            assert (warm.cache_hits, warm.cache_misses) == (4, 0)
 
 
 def test_interrupt_mid_sweep_keeps_completed_cells(tmp_path, monkeypatch):

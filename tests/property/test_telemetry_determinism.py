@@ -3,7 +3,7 @@
 The telemetry contract (docs/telemetry.md): attaching any sink set to the
 event bus changes *nothing* about a sweep's output — records are byte-equal
 with no sink, a ring buffer, a jsonl trace, or the full metrics fold, for
-every engine and for threaded fleet execution.  Events carry no RNG state
+in-process, pool and threaded fleet execution.  Events carry no RNG state
 and no instrumented code path reads the bus, so the only way this property
 can break is an instrumentation bug; this suite is the tripwire.
 """
@@ -20,8 +20,6 @@ from repro.obs.metrics import MetricsSink
 from repro.obs.sinks import JsonlTraceSink, RingBufferSink, read_trace
 from repro.utils.format import to_csv
 
-ENGINES = ("reference", "vectorized", "batched")
-
 
 def _config() -> SweepConfig:
     return SweepConfig(
@@ -36,8 +34,8 @@ def _config() -> SweepConfig:
     )
 
 
-def _sweep(engine: str, **kwargs) -> SweepResult:
-    return run_sweep(_config(), system="duty", rate=5, engine=engine, **kwargs)
+def _sweep(**kwargs) -> SweepResult:
+    return run_sweep(_config(), system="duty", rate=5, **kwargs)
 
 
 def _csv(result: SweepResult) -> str:
@@ -53,18 +51,17 @@ def quiet_bus():
         EVENT_BUS.detach(sink)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_records_are_byte_identical_with_every_sink_set(engine, tmp_path):
-    bare = _sweep(engine)
+def test_records_are_byte_identical_with_every_sink_set(tmp_path):
+    bare = _sweep()
 
     ring = RingBufferSink()
     with EVENT_BUS.attached(ring):
-        ringed = _sweep(engine)
+        ringed = _sweep()
 
-    jsonl = JsonlTraceSink(tmp_path / f"{engine}.jsonl")
+    jsonl = JsonlTraceSink(tmp_path / "trace.jsonl")
     metrics = MetricsSink()
     with EVENT_BUS.attached(jsonl, metrics):
-        folded = _sweep(engine)
+        folded = _sweep()
     jsonl.close()
 
     assert ringed.records == bare.records
@@ -79,24 +76,23 @@ def test_records_are_byte_identical_with_every_sink_set(engine, tmp_path):
     assert fold["counters"]["sweep.cells_finished"] == 4
 
 
-@pytest.mark.parametrize("engine", ("reference", "batched"))
-def test_pool_workers_stay_byte_identical_under_telemetry(engine):
+def test_pool_workers_stay_byte_identical_under_telemetry():
     # Forked pool children reset their inherited bus (fork-safety), so the
     # parent still observes every cell finish and the records stay equal.
-    bare = _sweep(engine, workers=2)
+    bare = _sweep(workers=2)
     ring = RingBufferSink()
     with EVENT_BUS.attached(ring):
-        observed = _sweep(engine, workers=2)
+        observed = _sweep(workers=2)
     assert observed.records == bare.records
     assert _csv(observed) == _csv(bare)
     assert ring.counts().get("cell_finished") == 4
 
 
 def test_threaded_fleet_stays_byte_identical_under_telemetry():
-    bare = _sweep("reference")
+    bare = _sweep()
     ring = RingBufferSink()
     with EVENT_BUS.attached(ring):
-        fleet = _sweep("reference", fabric=LocalFleet(workers=2))
+        fleet = _sweep(fabric=LocalFleet(workers=2))
     assert fleet.records == bare.records
     assert _csv(fleet) == _csv(bare)
     kinds = ring.counts()
@@ -112,7 +108,7 @@ def test_trace_replays_into_the_same_metrics_as_live_folding(tmp_path):
     live = MetricsSink()
     jsonl = JsonlTraceSink(tmp_path / "trace.jsonl")
     with EVENT_BUS.attached(live, jsonl):
-        _sweep("vectorized")
+        _sweep()
     jsonl.close()
     replayed = MetricsSink()
     for payload in read_trace(jsonl.path):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.time_counter import TimeCounter, UnreachableNodes
-from repro.network.bitset import bitset_view
 from repro.network.boundary import boundary_nodes, hull_nodes
 from repro.network.geometry import euclidean_distance
 from repro.network.quadrant import QUADRANTS, quadrant_partition
@@ -113,28 +112,23 @@ def test_hop_matrix_rows_equal_bfs(topology):
     hops = topology.hop_matrix
     assert hops.shape == (topology.num_nodes, topology.num_nodes)
     assert not hops.flags.writeable
-    view = bitset_view(topology)
     for i, u in enumerate(topology.node_ids):
         expected = topology.hop_distances(u)
         assert expected == _bfs(topology, [u])
         row = [expected.get(v, -1) for v in topology.node_ids]
         assert hops[i].tolist() == row
-        assert view.hop_distances_bool(u).tolist() == row
 
 
 @settings(max_examples=60, deadline=None)
 @given(udg_topologies(connected=False))
 def test_eccentricity_and_diameter_match_bfs(topology):
-    view = bitset_view(topology)
     eccentricities = {u: _bfs_eccentricity(topology, u) for u in topology.node_ids}
     for u, expected in eccentricities.items():
         if expected is None:
             with pytest.raises(ValueError, match="disconnected"):
                 topology.eccentricity(u)
-            with pytest.raises(ValueError, match="disconnected"):
-                view.eccentricity(u)
         else:
-            assert topology.eccentricity(u) == view.eccentricity(u) == expected
+            assert topology.eccentricity(u) == expected
     if None in eccentricities.values():
         with pytest.raises(ValueError, match="disconnected"):
             topology.diameter()

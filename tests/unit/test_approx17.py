@@ -31,6 +31,21 @@ class TestApprox17Policy:
         with pytest.raises(RuntimeError, match="prepare"):
             policy.select_advance(state)
 
+    def test_prepared_for_another_topology_names_prepare(self, figure1, figure2):
+        topo, source = figure1
+        other, other_source = figure2
+        schedule = WakeupSchedule(topo.node_ids, rate=5, seed=0)
+        policy = Approx17Policy()
+        policy.prepare(topo, schedule, source)
+        state = BroadcastState(
+            other,
+            frozenset({other_source}),
+            time=1,
+            schedule=WakeupSchedule(other.node_ids, rate=5),
+        )
+        with pytest.raises(RuntimeError, match=r"prepare\(topology, schedule, source\)"):
+            policy.select_advance(state)
+
     def test_completes_and_is_valid(self, small_deployment, duty_schedule_factory):
         topo, source = small_deployment
         schedule = duty_schedule_factory(topo, rate=10)
@@ -162,16 +177,19 @@ class TestNextDecisionSlot:
             )
             assert policy.select_advance(state) is None
 
-    def test_hinted_trace_matches_unhinted_engines(self, small_deployment, duty_schedule_factory):
-        """Engines honoring the hint reproduce the reference trace exactly."""
+    def test_hinted_trace_matches_unhinted_trace(self, small_deployment, duty_schedule_factory):
+        """Honouring the hint is trace-preserving: offering every slot to the
+        policy instead reproduces the hinted trace exactly."""
+
+        class Unhinted(Approx17Policy):
+            def next_decision_slot(self, time):
+                return None
+
         topo, source = small_deployment
         schedule = duty_schedule_factory(topo, rate=10)
-        reference = run_broadcast(
-            topo, source, Approx17Policy(), schedule=schedule,
-            align_start=True, engine="reference",
+        hinted = run_broadcast(
+            topo, source, Approx17Policy(), schedule=schedule, align_start=True
         )
-        for engine in ("vectorized", "batched"):
-            assert run_broadcast(
-                topo, source, Approx17Policy(), schedule=schedule,
-                align_start=True, engine=engine,
-            ) == reference
+        assert run_broadcast(
+            topo, source, Unhinted(), schedule=schedule, align_start=True
+        ) == hinted

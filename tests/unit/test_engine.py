@@ -71,6 +71,41 @@ class TestRoundEngine:
         with pytest.raises(ValueError, match="conflicting"):
             RoundEngine(topo).run(rogue, source)
 
+    def test_wrong_receivers_rejected(self, figure2):
+        topo, source = figure2
+
+        class Deaf(SchedulingPolicy):
+            name = "deaf"
+
+            def select_advance(self, state):
+                return Advance(
+                    time=state.time, color=frozenset({source}), receivers=frozenset()
+                )
+
+        with pytest.raises(ValueError, match="advance.receivers does not match"):
+            RoundEngine(topo).run(Deaf(), source)
+
+    def test_unknown_receivers_rejected_as_mismatch(self, figure2):
+        # A receiver outside the topology is a receivers mismatch (ValueError),
+        # never a bare KeyError from an index lookup.
+        topo, source = figure2
+
+        class Phantom(SchedulingPolicy):
+            name = "phantom"
+
+            def select_advance(self, state):
+                good = Advance.from_color(
+                    state.topology, state.covered, frozenset({source}), state.time
+                )
+                return Advance(
+                    time=good.time,
+                    color=good.color,
+                    receivers=good.receivers | {987_654},
+                )
+
+        with pytest.raises(ValueError, match="advance.receivers does not match"):
+            RoundEngine(topo).run(Phantom(), source)
+
 
 class TestSlotEngine:
     def test_rejects_schedule_missing_nodes(self, figure2):

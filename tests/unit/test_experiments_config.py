@@ -44,20 +44,20 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(repetitions=0)
         with pytest.raises(ValueError):
-            SweepConfig(batch=-1)
-        with pytest.raises(ValueError):
-            SweepConfig(engine="warp-drive")
+            SweepConfig(workers=-1)
 
-    def test_batch_is_execution_shape_not_cell_identity(self):
+    def test_certain_loss_rejected(self):
+        """At loss 1 no delivery succeeds: reject before any simulation."""
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            SweepConfig(link_model="independent-loss", loss_probability=1.0)
+
+    def test_there_is_no_engine_or_batch_knob(self):
         from repro.experiments.config import CELL_KEY_EXCLUDED_FIELDS
 
-        assert "batch" in CELL_KEY_EXCLUDED_FIELDS
-        fields = SweepConfig().cell_key_fields()
-        assert "batch" not in fields
-        # and changing it leaves the digest inputs untouched
-        import dataclasses
-
-        assert dataclasses.replace(SweepConfig(), batch=8).cell_key_fields() == fields
+        for knob in ("engine", "batch"):
+            with pytest.raises(TypeError):
+                SweepConfig(**{knob: 0})
+        assert CELL_KEY_EXCLUDED_FIELDS == {"workers", "node_counts", "repetitions"}
 
 
 class TestSweepFromEnv:

@@ -10,6 +10,7 @@ from repro.core.policies import EModelPolicy
 from repro.experiments.config import QUICK_SWEEP
 from repro.experiments.runner import _run_cell, run_sweep, sweep_cells
 from repro.fabric import (
+    PROTOCOL_VERSION,
     FabricCoordinator,
     FabricError,
     FabricHTTPServer,
@@ -27,6 +28,11 @@ from repro.store import ExperimentStore
 
 _CONFIG = replace(QUICK_SWEEP, node_counts=(50,), repetitions=2)
 _CELLS = sweep_cells(_CONFIG, system="sync")
+
+
+def _claim(worker: str) -> dict:
+    """A claim request from a worker speaking this protocol version."""
+    return {"worker": worker, "protocol_version": PROTOCOL_VERSION}
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +66,47 @@ class TestProtocolPayloads:
         with pytest.raises(FabricError, match="custom policy factories"):
             cell_to_payload(cell)
 
+    def test_cell_payload_has_no_engine(self):
+        payload = cell_to_payload(_CELLS[0])
+        assert "engine" not in payload
+        assert not {"engine", "batch"} & payload["config"].keys()
+
+
+class TestProtocolVersion:
+    def test_version_is_2(self):
+        assert PROTOCOL_VERSION == 2
+
+    def test_coordinator_rejects_a_claim_from_an_older_worker(self):
+        """A version-1 worker sends no version; it fails on the check, before
+        any lease is granted."""
+        coordinator = FabricCoordinator(_CELLS)
+        with pytest.raises(FabricError, match="protocol mismatch.*version 1"):
+            coordinator.handle_request("claim", {"worker": "old"})
+        assert coordinator.status()["counts"]["leased"] == 0
+
+    def test_grant_carries_the_version(self):
+        grant = FabricCoordinator(_CELLS).handle_request("claim", _claim("w1"))
+        assert grant["protocol_version"] == PROTOCOL_VERSION
+
+    def test_worker_rejects_a_grant_from_an_older_coordinator(self):
+        """A version-1 grant (engine in the cell and config) fails on the
+        version check, not inside config_from_payload."""
+        from repro.fabric import FabricWorker
+
+        grant = FabricCoordinator(_CELLS).handle_request("claim", _claim("w1"))
+        del grant["protocol_version"]
+        grant["cell"]["engine"] = "reference"
+        grant["cell"]["config"].update(engine="reference", batch=0)
+
+        class OldCoordinator:
+            def request(self, action, payload):
+                assert action == "claim"
+                return grant
+
+        worker = FabricWorker(OldCoordinator(), name="new")
+        with pytest.raises(FabricError, match="protocol mismatch.*coordinator"):
+            worker.run()
+
 
 def _post_result(coordinator, grant, records, **overrides):
     payload = {
@@ -76,7 +123,7 @@ def _post_result(coordinator, grant, records, **overrides):
 class TestCoordinator:
     def test_claim_simulate_post_happy_path(self, cell_records):
         coordinator = FabricCoordinator(_CELLS)
-        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        grant = coordinator.handle_request("claim", _claim("w1"))
         assert grant["status"] == "lease"
         cell = cell_from_payload(grant["cell"])
         assert cell == _CELLS[grant["index"]]
@@ -86,14 +133,14 @@ class TestCoordinator:
 
     def test_duplicate_post_acknowledged_not_recommitted(self, cell_records):
         coordinator = FabricCoordinator(_CELLS)
-        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        grant = coordinator.handle_request("claim", _claim("w1"))
         records = cell_records[grant["index"]]
         assert _post_result(coordinator, grant, records)["status"] == "committed"
         assert _post_result(coordinator, grant, records)["status"] == "duplicate"
 
     def test_digest_mismatch_is_rejected_and_charged(self, cell_records):
         coordinator = FabricCoordinator(_CELLS, max_attempts=1)
-        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        grant = coordinator.handle_request("claim", _claim("w1"))
         response = _post_result(
             coordinator, grant, cell_records[grant["index"]], digest="f" * 64
         )
@@ -104,7 +151,7 @@ class TestCoordinator:
 
     def test_wrong_cells_records_are_rejected(self, cell_records):
         coordinator = FabricCoordinator(_CELLS)
-        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        grant = coordinator.handle_request("claim", _claim("w1"))
         other = (grant["index"] + 1) % len(_CELLS)
         response = _post_result(coordinator, grant, cell_records[other])
         assert response["status"] == "rejected"
@@ -113,15 +160,15 @@ class TestCoordinator:
     def test_done_and_wait_responses(self, cell_records):
         coordinator = FabricCoordinator(_CELLS, lease_ttl=5.0)
         grants = [
-            coordinator.handle_request("claim", {"worker": "w1"})
+            coordinator.handle_request("claim", _claim("w1"))
             for _ in range(len(_CELLS))
         ]
-        wait = coordinator.handle_request("claim", {"worker": "w2"})
+        wait = coordinator.handle_request("claim", _claim("w2"))
         assert wait["status"] == "wait"
         assert 0.0 < wait["retry_after"] <= 5.0
         for grant in grants:
             _post_result(coordinator, grant, cell_records[grant["index"]])
-        done = coordinator.handle_request("claim", {"worker": "w2"})
+        done = coordinator.handle_request("claim", _claim("w2"))
         assert done == {
             "status": "done", "completed": len(_CELLS), "quarantined": 0,
         }
@@ -129,7 +176,7 @@ class TestCoordinator:
 
     def test_heartbeat_reports_validity(self):
         coordinator = FabricCoordinator(_CELLS)
-        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        grant = coordinator.handle_request("claim", _claim("w1"))
         beat = coordinator.handle_request("heartbeat", {"lease": grant["lease"]})
         assert beat == {"status": "ok", "valid": True}
         stale = coordinator.handle_request("heartbeat", {"lease": "lease-404"})
@@ -142,7 +189,7 @@ class TestCoordinator:
 
     def test_status_snapshot_shape(self):
         coordinator = FabricCoordinator(_CELLS)
-        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        grant = coordinator.handle_request("claim", _claim("w1"))
         status = coordinator.handle_request("status", {})
         assert status["total"] == len(_CELLS)
         assert status["done"] is False
@@ -162,7 +209,7 @@ class TestRestart:
     def test_restart_resumes_from_store_delta(self, tmp_path, cell_records):
         with ExperimentStore(tmp_path / "store") as store:
             first = FabricCoordinator(_CELLS, store=store)
-            grant = first.handle_request("claim", {"worker": "w1"})
+            grant = first.handle_request("claim", _claim("w1"))
             _post_result(first, grant, cell_records[grant["index"]])
 
             # A brand-new coordinator (the restart) sees the committed cell
@@ -171,7 +218,7 @@ class TestRestart:
             assert second.status()["counts"]["completed"] == 1
             assert second.records_for(grant["index"]) == cell_records[grant["index"]]
             remaining = {
-                second.handle_request("claim", {"worker": "w2"})["index"]
+                second.handle_request("claim", _claim("w2"))["index"]
                 for _ in range(len(_CELLS) - 1)
             }
             assert grant["index"] not in remaining
@@ -179,7 +226,7 @@ class TestRestart:
     def test_restart_restores_failure_journal(self, tmp_path, cell_records):
         with ExperimentStore(tmp_path / "store") as store:
             first = FabricCoordinator(_CELLS, store=store, max_attempts=1)
-            grant = first.handle_request("claim", {"worker": "w1"})
+            grant = first.handle_request("claim", _claim("w1"))
             _post_result(first, grant, cell_records[grant["index"]], digest="0" * 64)
             assert grant["index"] in first.quarantined
             assert (tmp_path / "store" / STATE_FILE_NAME).is_file()
@@ -199,7 +246,7 @@ class TestHTTPServer:
         coordinator = FabricCoordinator(_CELLS)
         with FabricHTTPServer(coordinator) as server:
             transport = HttpTransport(server.url)
-            grant = transport.request("claim", {"worker": "w1"})
+            grant = transport.request("claim", _claim("w1"))
             assert grant["status"] == "lease"
             assert cell_from_payload(grant["cell"]) == _CELLS[grant["index"]]
             response = transport.request(
@@ -216,6 +263,13 @@ class TestHTTPServer:
             status = transport.request("status", {})
             assert status["counts"]["completed"] == 1
             transport.close()
+
+    def test_start_without_a_bound_port_raises(self, monkeypatch):
+        """A serve loop that signals start-up without binding is an error."""
+        server = FabricHTTPServer(FabricCoordinator(_CELLS))
+        monkeypatch.setattr(server, "_run", server._started.set)
+        with pytest.raises(RuntimeError, match="without binding a port"):
+            server.start()
 
     def test_unknown_action_is_a_404(self):
         from repro.fabric import TransportError
@@ -238,7 +292,7 @@ class TestCoordinatorTelemetry:
 
     def test_status_reports_queue_depth_and_attempts(self, cell_records):
         coordinator = FabricCoordinator(_CELLS, max_attempts=3)
-        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        grant = coordinator.handle_request("claim", _claim("w1"))
         # One rejected result charges the cell's budget and requeues it.
         _post_result(coordinator, grant, cell_records[grant["index"]], digest="0" * 64)
         status = coordinator.status()
@@ -248,7 +302,7 @@ class TestCoordinatorTelemetry:
 
     def test_status_reports_oldest_lease_age(self):
         coordinator = FabricCoordinator(_CELLS)
-        coordinator.handle_request("claim", {"worker": "w1"})
+        coordinator.handle_request("claim", _claim("w1"))
         status = coordinator.status()
         assert status["oldest_lease_age_s"] is not None
         assert status["oldest_lease_age_s"] >= 0.0
@@ -257,7 +311,7 @@ class TestCoordinatorTelemetry:
 
     def test_metrics_action_serves_the_registry(self, cell_records):
         coordinator = FabricCoordinator(_CELLS)
-        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        grant = coordinator.handle_request("claim", _claim("w1"))
         _post_result(coordinator, grant, cell_records[grant["index"]])
         snapshot = coordinator.handle_request("metrics", {})
         assert snapshot["counters"]["fabric.claim_requests"] == 1
@@ -269,10 +323,10 @@ class TestCoordinatorTelemetry:
 
     def test_duplicate_and_rejected_results_are_counted(self, cell_records):
         coordinator = FabricCoordinator(_CELLS, max_attempts=5)
-        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        grant = coordinator.handle_request("claim", _claim("w1"))
         _post_result(coordinator, grant, cell_records[grant["index"]])
         _post_result(coordinator, grant, cell_records[grant["index"]])
-        bad = coordinator.handle_request("claim", {"worker": "w1"})
+        bad = coordinator.handle_request("claim", _claim("w1"))
         _post_result(coordinator, bad, cell_records[bad["index"]], digest="0" * 64)
         counters = coordinator.handle_request("metrics", {})["counters"]
         assert counters["fabric.results_committed"] == 1
@@ -293,7 +347,7 @@ class TestCoordinatorTelemetry:
         coordinator = FabricCoordinator(_CELLS)
         with FabricHTTPServer(coordinator, expose_metrics=True) as server:
             transport = HttpTransport(server.url)
-            transport.request("claim", {"worker": "w1"})
+            transport.request("claim", _claim("w1"))
             snapshot = transport.request("metrics", {})
             transport.close()
         assert snapshot["counters"]["fabric.lease_claims"] == 1

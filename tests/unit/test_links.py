@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines.approx17 import Approx17Policy
 from repro.baselines.approx26 import Approx26Policy
 from repro.core.policies import EModelPolicy
-from repro.network.bitset import bitset_view
 from repro.sim.broadcast import run_broadcast
 from repro.sim.links import (
     LINK_MODELS,
@@ -17,7 +15,6 @@ from repro.sim.links import (
     build_link_model,
     link_model_names,
 )
-from repro.sim.unreliable import LossyRoundEngine, LossySlotEngine
 
 
 class TestRegistry:
@@ -40,6 +37,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             build_link_model("independent-loss", loss_probability=-0.1)
 
+    def test_certain_loss_rejected(self):
+        """At p = 1 no delivery ever succeeds, so no broadcast could finish."""
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            IndependentLossLinks(1.0)
+
 
 class TestModelProperties:
     def test_zero_loss_is_lossless_with_unit_stretch(self):
@@ -60,57 +62,34 @@ class TestModelProperties:
         assert model.deliver(None, line_topology, advance, frozenset({0})) == (
             frozenset({1})
         )
-        view = bitset_view(line_topology)
-        expected = view.bool_from_nodes({1})
-        out = model.deliver_bool(
-            None, view, view.indices({0}), expected, view.bool_from_nodes({0})
-        )
-        assert out is expected
 
 
-class TestDrawOrderParity:
-    def test_set_and_bitset_deliveries_consume_the_same_stream(self, small_grid):
-        """Both implementations draw per candidate pair in the same order."""
+class TestDrawOrder:
+    def test_one_draw_per_candidate_pair_in_canonical_order(self, small_grid):
+        """Deliveries consume one uniform per (transmitter, uncovered
+        neighbour) pair, in ascending (transmitter id, receiver id) order."""
         from repro.core.advance import Advance
         from repro.network.interference import receivers_of
+        from repro.utils.rng import make_rng
 
         topology = small_grid
         covered = frozenset({topology.node_ids[0]})
-        color = frozenset({topology.node_ids[0]})
+        color = frozenset(topology.node_ids[:1])
         expected = receivers_of(topology, color, covered)
         advance = Advance(time=1, color=color, receivers=expected)
         model = IndependentLossLinks(0.5, seed=123)
 
-        set_delivered = model.deliver(model.make_state(), topology, advance, covered)
-        view = bitset_view(topology)
-        delivered_bool = model.deliver_bool(
-            model.make_state(),
-            view,
-            view.indices(color),
-            view.bool_from_nodes(expected),
-            view.bool_from_nodes(covered),
-        )
-        assert view.nodes_from_bool(delivered_bool) == set_delivered
-        assert set_delivered <= expected
-
-    def test_delivery_candidates_canonical_order(self, small_grid):
-        view = bitset_view(small_grid)
-        covered = view.bool_from_nodes({small_grid.node_ids[0]})
-        tx_idx = view.indices(set(small_grid.node_ids[:3]))
-        rows, cols = view.delivery_candidates(tx_idx, covered)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-        assert pairs == sorted(pairs)
-        # Every pair is a genuine uncovered-neighbour edge.
-        for row, col in pairs:
-            assert view.adjacency[tx_idx[row], col]
-            assert not covered[col]
-
-    def test_empty_transmitter_set(self, small_grid):
-        view = bitset_view(small_grid)
-        rows, cols = view.delivery_candidates(
-            np.zeros(0, dtype=np.int64), np.zeros(view.num_nodes, dtype=bool)
-        )
-        assert len(rows) == 0 and len(cols) == 0
+        delivered = model.deliver(model.make_state(), topology, advance, covered)
+        rng = make_rng(123)
+        pairs = [
+            (u, v)
+            for u in sorted(color)
+            for v in sorted(topology.neighbors(u))
+            if v not in covered
+        ]
+        draws = rng.random(len(pairs))
+        assert delivered == {v for (_, v), draw in zip(pairs, draws) if draw >= 0.5}
+        assert delivered <= expected
 
 
 class TestLossIntolerantPolicies:
@@ -165,25 +144,3 @@ class TestLossyTraceContents:
         counts = lossy.transmissions_by_node()
         assert lossy.retransmissions == sum(c - 1 for c in counts.values() if c > 1)
         assert lossy.retransmissions > 0
-
-
-class TestShims:
-    def test_lossy_round_engine_shim(self, small_deployment):
-        topo, source = small_deployment
-        engine = LossyRoundEngine(topo, loss_probability=0.2, seed=3)
-        assert engine.loss_probability == 0.2
-        assert isinstance(engine.link_model, IndependentLossLinks)
-        policy = EModelPolicy()
-        policy.prepare(topo, None, source)
-        trace = engine.run(policy, source)
-        assert trace.covered == topo.node_set
-
-    def test_lossy_slot_engine_shim(self, small_deployment, duty_schedule_factory):
-        topo, source = small_deployment
-        schedule = duty_schedule_factory(topo, rate=5)
-        engine = LossySlotEngine(topo, schedule, loss_probability=0.1, seed=3)
-        assert engine.loss_probability == 0.1
-        policy = EModelPolicy()
-        policy.prepare(topo, schedule, source)
-        trace = engine.run(policy, source, align_start=True)
-        assert trace.covered == topo.node_set

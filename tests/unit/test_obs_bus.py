@@ -13,7 +13,6 @@ from repro.obs.events import (
     CellFinished,
     Event,
     LeaseClaimed,
-    SlotAdvanced,
     StoreHit,
     StoreMiss,
     SweepStarted,
@@ -35,14 +34,10 @@ from repro.obs.sinks import (
 def _sample_events() -> list[Event]:
     """One instance of every registered event kind."""
     samples = [
-        events_mod.SweepStarted("duty", 10, "batched", 4, 1, 3),
+        events_mod.SweepStarted("duty", 10, 4, 1, 3),
         events_mod.SweepFinished(16, 1, 3),
         events_mod.CellStarted("duty", 10, 50, 0),
         events_mod.CellFinished(0, 50, 0, 4),
-        events_mod.StripeStarted(50, 2),
-        events_mod.StripeFinished(50, 2, 0.1, 0.2, 0.3, 7, 11),
-        events_mod.SlotAdvanced(3, 2, 5),
-        events_mod.LaneWoke(1, 3),
         events_mod.StoreHit("ab" * 32, 4),
         events_mod.StoreMiss("cd" * 32),
         events_mod.StorePut("ef" * 32, 4),
@@ -81,11 +76,11 @@ class TestEvents:
             event_from_json({"event": "frobnicated"})
 
     def test_events_are_frozen_values(self):
-        event = SlotAdvanced(3, 2, 5)
+        event = CellFinished(3, 50, 2, 4)
         with pytest.raises(Exception):
-            event.time = 4  # type: ignore[misc]
-        assert event == SlotAdvanced(3, 2, 5)
-        assert hash(event) == hash(SlotAdvanced(3, 2, 5))
+            event.index = 4  # type: ignore[misc]
+        assert event == CellFinished(3, 50, 2, 4)
+        assert hash(event) == hash(CellFinished(3, 50, 2, 4))
 
 
 class TestEventBus:
@@ -184,23 +179,21 @@ class TestZeroCostWhenOff:
         with ExperimentStore(tmp_path / "store") as store:
             assert store.get(self._cell_key()) is None  # miss path
 
-    def test_streaming_constructs_nothing_when_off(self, raising_events):
+    def test_sweep_constructs_nothing_when_off(self, raising_events):
         from repro.core.policies import EModelPolicy
-        from repro.network.deployment import DeploymentConfig, deploy_uniform
-        from repro.sim import stream_broadcast
+        from repro.experiments.config import SweepConfig
+        from repro.experiments.runner import run_sweep
 
-        topology, source = deploy_uniform(
-            config=DeploymentConfig(
-                num_nodes=30,
-                area_side=26.0,
-                radius=9.0,
-                source_min_ecc=2,
-                source_max_ecc=None,
-            ),
-            seed=3,
+        config = SweepConfig(
+            node_counts=(30,),
+            area_side=26.0,
+            radius=9.0,
+            repetitions=1,
+            source_min_ecc=2,
+            source_max_ecc=None,
         )
-        summary = stream_broadcast(topology, source, EModelPolicy())
-        assert summary.num_advances > 0
+        sweep = run_sweep(config, policies={"E-model": EModelPolicy})
+        assert len(sweep.records) == 1
 
     def test_lease_queue_constructs_nothing_when_off(self, raising_events):
         from repro.fabric.queue import LeaseQueue
@@ -222,9 +215,9 @@ class TestZeroCostWhenOff:
 class TestRingBufferSink:
     def test_keeps_the_last_capacity_events(self):
         ring = RingBufferSink(capacity=2)
-        for time in range(3):
-            ring.consume(SlotAdvanced(time, 1, 1))
-        assert ring.events() == [SlotAdvanced(1, 1, 1), SlotAdvanced(2, 1, 1)]
+        for index in range(3):
+            ring.consume(CellFinished(index, 50, 0, 1))
+        assert ring.events() == [CellFinished(1, 50, 0, 1), CellFinished(2, 50, 0, 1)]
         assert ring.total == 3
 
     def test_counts_by_kind_and_clear(self):
@@ -252,13 +245,13 @@ class TestJsonlTraceSink:
     def test_trace_round_trips(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlTraceSink(path) as sink:
-            for event in (SweepStarted("duty", 10, "reference", 2, 0, 2),
+            for event in (SweepStarted("duty", 10, 2, 0, 2),
                           CellFinished(0, 50, 0, 4)):
                 sink.consume(event)
             assert sink.written == 2
         decoded = [event_from_json(payload) for payload in read_trace(path)]
         assert decoded == [
-            SweepStarted("duty", 10, "reference", 2, 0, 2),
+            SweepStarted("duty", 10, 2, 0, 2),
             CellFinished(0, 50, 0, 4),
         ]
         for payload in read_trace(path):
@@ -333,7 +326,12 @@ class TestBusIntegration:
         import repro.fabric.worker as worker_mod
         from repro.experiments.config import QUICK_SWEEP
         from repro.experiments.runner import sweep_cells
-        from repro.fabric import FabricCoordinator, FabricWorker, LocalTransport
+        from repro.fabric import (
+            PROTOCOL_VERSION,
+            FabricCoordinator,
+            FabricWorker,
+            LocalTransport,
+        )
 
         cells = sweep_cells(
             replace(QUICK_SWEEP, node_counts=(50,), repetitions=1), system="sync"
@@ -342,7 +340,9 @@ class TestBusIntegration:
         worker = FabricWorker(
             LocalTransport(coordinator), name="hb-test", heartbeat_interval=0.02
         )
-        grant = coordinator.handle_request("claim", {"worker": "hb-test"})
+        grant = coordinator.handle_request(
+            "claim", {"worker": "hb-test", "protocol_version": PROTOCOL_VERSION}
+        )
         # A slow stand-in cell guarantees the beater thread gets to fire.
         monkeypatch.setattr(worker_mod, "_run_cell", lambda cell: time.sleep(0.2) or [])
         ring = RingBufferSink()

@@ -22,7 +22,7 @@ def _folded(*folded: events.Event, clock=lambda: 100.0) -> dict:
 class TestRenderMetrics:
     def test_sweep_progress_bar(self):
         snapshot = _folded(
-            events.SweepStarted("duty", 10, "batched", 4, 0, 4),
+            events.SweepStarted("duty", 10, 4, 0, 4),
             events.CellFinished(0, 50, 0, 4),
             events.CellFinished(1, 50, 1, 4),
         )
@@ -92,7 +92,7 @@ class TestSweepMonitor:
     def test_trace_panel_folds_the_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlTraceSink(path) as sink:
-            sink.consume(events.SweepStarted("duty", 10, "reference", 2, 0, 2))
+            sink.consume(events.SweepStarted("duty", 10, 2, 0, 2))
             sink.consume(events.CellFinished(0, 50, 0, 4))
         frame = SweepMonitor(trace=path).render()
         assert f"trace · {path}" in frame

@@ -1,4 +1,4 @@
-"""The parallel sweep runner: determinism, chunking, engine switch."""
+"""The parallel sweep runner: determinism and chunking."""
 
 from __future__ import annotations
 
@@ -44,21 +44,6 @@ def test_parallel_records_match_serial(tiny_config, cheap_policies):
     assert len(serial.records) == 2 * 2 * len(cheap_policies)
 
 
-def test_vectorized_engine_matches_reference(tiny_config, cheap_policies):
-    reference = run_sweep(
-        tiny_config, system="duty", rate=5, policies=cheap_policies, workers=1
-    )
-    vectorized = run_sweep(
-        tiny_config,
-        system="duty",
-        rate=5,
-        policies=cheap_policies,
-        workers=2,
-        engine="vectorized",
-    )
-    assert reference.records == vectorized.records
-
-
 def test_sync_parallel_matches_serial(tiny_config):
     policies = {"26-approx": Approx26Policy, "E-model": EModelPolicy}
     serial = run_sweep(tiny_config, system="sync", policies=policies, workers=1)
@@ -67,14 +52,13 @@ def test_sync_parallel_matches_serial(tiny_config):
     assert all(record.rate == 1 for record in serial.records)
 
 
-def test_config_drives_workers_and_engine(tiny_config, cheap_policies):
+def test_config_drives_workers(tiny_config, cheap_policies):
     import dataclasses
 
-    configured = dataclasses.replace(tiny_config, workers=2, engine="vectorized")
+    configured = dataclasses.replace(tiny_config, workers=2)
     implicit = run_sweep(configured, system="duty", rate=5, policies=cheap_policies)
     explicit = run_sweep(
-        tiny_config, system="duty", rate=5, policies=cheap_policies,
-        workers=1, engine="reference",
+        tiny_config, system="duty", rate=5, policies=cheap_policies, workers=1
     )
     assert implicit.records == explicit.records
 
@@ -96,7 +80,6 @@ def test_cells_are_picklable_and_self_contained(tiny_config, cheap_policies):
         rate=5,
         num_nodes=16,
         repetition=0,
-        engine="reference",
         policies=tuple(cheap_policies.items()),
     )
     records = _run_cell(pickle.loads(pickle.dumps(cell)))
@@ -107,7 +90,5 @@ def test_cells_are_picklable_and_self_contained(tiny_config, cheap_policies):
 def test_invalid_arguments_rejected(tiny_config):
     with pytest.raises(ValueError, match="unknown system"):
         run_sweep(tiny_config, system="hybrid")
-    with pytest.raises(ValueError, match="unknown engine"):
-        SweepConfig(node_counts=(16,), engine="warp")
     with pytest.raises(ValueError, match="workers"):
         SweepConfig(node_counts=(16,), workers=-1)

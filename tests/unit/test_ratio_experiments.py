@@ -3,8 +3,8 @@
 The acceptance criteria of the solver tier live here: every observed
 ratio sits at or above 1 and at or below its proved bound, the exact
 tier's own ratio is identically 1, the solver axis is enforced at
-configuration time, and ratio cells cache-hit across engines and worker
-counts (the solver is workload configuration, not execution mode).
+configuration time, and ratio cells cache-hit across worker counts (the
+solver is workload configuration, not execution mode).
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class TestSolverAxisConfig:
 
 
 class TestRatioStoreIntegration:
-    def test_cells_cache_hit_across_engines_and_workers(self, tmp_path):
+    def test_cells_cache_hit_across_workers(self, tmp_path):
         kwargs = dict(scenarios=("uniform",), duty_models=("uniform",))
         with ExperimentStore(tmp_path / "store") as store:
             cold = figure_ratio(TINY, system="duty", store=store, **kwargs)
@@ -147,9 +147,9 @@ class TestRatioStoreIntegration:
             assert warm.sweep.cache_misses == 0
             assert warm.series == cold.series
 
-            # The solver is workload configuration; engine and workers are
-            # execution modes and must serve the same cached cells.
-            other_mode = dataclasses.replace(TINY, engine="vectorized", workers=2)
+            # The solver is workload configuration; workers is an
+            # execution mode and must serve the same cached cells.
+            other_mode = dataclasses.replace(TINY, workers=2)
             across = figure_ratio(other_mode, system="duty", store=store, **kwargs)
             assert across.sweep.cache_hits == cold.sweep.cache_misses
             assert across.sweep.cache_misses == 0

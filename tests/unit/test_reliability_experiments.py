@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.time_counter import SearchConfig
@@ -166,7 +164,22 @@ class TestCLI:
     def test_invalid_loss_value_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--loss", "1.7"])
-        assert "must be in [0, 1]" in capsys.readouterr().err
+        assert "must be in [0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["sweep", "reliability"])
+    def test_certain_loss_is_a_usage_error(self, capsys, target):
+        """--loss 1.0 can never finish a broadcast: reject it at parse time
+        with a one-line usage error, before any simulation starts."""
+        import time
+
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exited:
+            main([target, "--loss", "1.0", "--nodes", "50", "--repetitions", "1"])
+        assert time.perf_counter() - start < 5.0
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "loss probabilities must be in [0, 1)" in err
 
 
 class TestScenarioComposition:
@@ -178,7 +191,6 @@ class TestScenarioComposition:
             link_model="independent-loss",
             loss_probability=0.1,
         )
-        config = dataclasses.replace(config, engine="vectorized")
         sweep = run_sweep(config, system="duty", rate=6)
         assert sweep.records
         assert {r.scenario for r in sweep.records} == {"ring"}

@@ -143,38 +143,25 @@ class TestScenarioCli:
     def test_sweep_target_prints_records(self, capsys):
         exit_code = main(
             ["sweep", "--scenario", "ring", "--duty-model", "two-tier",
-             "--nodes", "24", "--repetitions", "1", "--rate", "5",
-             "--engine", "vectorized"]
+             "--nodes", "24", "--repetitions", "1", "--rate", "5"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "scenario=ring duty_model=two-tier" in output
+        assert "engine=" not in output
         assert "policy,system,rate,scenario,duty_model" in output
         assert ",ring,two-tier," in output
 
-    def test_sweep_profile_prints_phase_split(self, capsys):
-        exit_code = main(
-            ["sweep", "--nodes", "50", "--repetitions", "1",
-             "--engine", "batched", "--profile"]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "profile: kernel" in output
-        assert "policy decisions" in output
-        assert "bookkeeping" in output
-        assert "macro-steps" in output
-
-    def test_sweep_profile_without_batched_engine_notes_no_stripes(self, capsys):
-        exit_code = main(
-            ["sweep", "--nodes", "24", "--repetitions", "1",
-             "--engine", "vectorized", "--profile"]
-        )
-        assert exit_code == 0
-        assert "profile: no batched stripes ran" in capsys.readouterr().out
+    @pytest.mark.parametrize("knob", [["--engine", "vectorized"], ["--batch", "4"], ["--profile"]])
+    def test_removed_engine_knobs_are_usage_errors(self, capsys, knob):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["sweep", *knob])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_output_worker_invariant(self, capsys):
         argv = ["sweep", "--scenario", "clustered", "--nodes", "24",
-                "--repetitions", "1", "--rate", "5", "--engine", "vectorized"]
+                "--repetitions", "1", "--rate", "5"]
         assert main([*argv, "--workers", "1"]) == 0
         serial = capsys.readouterr().out
         assert main([*argv, "--workers", "2"]) == 0
@@ -186,7 +173,7 @@ class TestScenarioCli:
         # over the full 50x50 area is too sparse to connect).
         exit_code = main(
             ["scenarios", "--nodes", "50", "--repetitions", "1", "--rate", "5",
-             "--engine", "vectorized", "--csv-dir", str(tmp_path)]
+             "--csv-dir", str(tmp_path)]
         )
         assert exit_code == 0
         output = capsys.readouterr().out

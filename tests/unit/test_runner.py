@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.baselines.approx26 import Approx26Policy
@@ -113,108 +111,3 @@ class TestDefaultPolicies:
     def test_unknown_system(self, tiny_config):
         with pytest.raises(ValueError):
             default_policies(tiny_config, "bogus")
-
-
-class TestBatchedStripes:
-    """The batched engine's stripe executor is invisible in the records."""
-
-    @pytest.fixture(scope="class")
-    def vectorized_sweep(self, tiny_config, fast_policies):
-        config = dataclasses.replace(tiny_config, engine="vectorized")
-        return run_sweep(config, system="sync", policies=fast_policies)
-
-    def test_batched_sweep_records_match_vectorized(
-        self, tiny_config, fast_policies, vectorized_sweep
-    ):
-        config = dataclasses.replace(tiny_config, engine="batched")
-        batched = run_sweep(config, system="sync", policies=fast_policies)
-        assert batched.records == vectorized_sweep.records
-
-    def test_batch_size_does_not_change_records(
-        self, tiny_config, fast_policies, vectorized_sweep
-    ):
-        for batch in (1, 3):
-            config = dataclasses.replace(tiny_config, engine="batched", batch=batch)
-            batched = run_sweep(config, system="sync", policies=fast_policies)
-            assert batched.records == vectorized_sweep.records
-
-    def test_batched_workers_do_not_change_records(
-        self, tiny_config, fast_policies, vectorized_sweep
-    ):
-        config = dataclasses.replace(tiny_config, engine="batched")
-        batched = run_sweep(
-            config, system="sync", policies=fast_policies, workers=2
-        )
-        assert batched.records == vectorized_sweep.records
-
-    def test_multisource_grid_bypasses_stripes(self, tiny_config):
-        # Multi-source sweeps are stripe-ineligible: the batched engine must
-        # fall back to per-cell execution and still match the vectorized run.
-        base = dataclasses.replace(tiny_config, n_sources=2)
-        policies = {"E-model": EModelPolicy}
-        expected = run_sweep(
-            dataclasses.replace(base, engine="vectorized"),
-            system="sync",
-            policies=policies,
-        )
-        batched = run_sweep(
-            dataclasses.replace(base, engine="batched"),
-            system="sync",
-            policies=policies,
-        )
-        assert batched.records == expected.records
-
-    def test_profile_accumulates_and_preserves_records(
-        self, tiny_config, fast_policies, vectorized_sweep
-    ):
-        from repro.sim.batched import BatchProfile
-
-        config = dataclasses.replace(tiny_config, engine="batched")
-        profile = BatchProfile()
-        # workers=2 would normally dispatch stripes to a pool; profiling
-        # forces in-process execution so the accumulator sees every batch.
-        profiled = run_sweep(
-            config,
-            system="sync",
-            policies=fast_policies,
-            workers=2,
-            profile=profile,
-        )
-        assert profiled.records == vectorized_sweep.records
-        assert profile.macro_steps > 0
-        assert profile.advances > 0
-        assert profile.lanes_decided >= profile.advances
-
-    def test_profile_stays_empty_off_the_stripe_path(self, tiny_config):
-        from repro.sim.batched import BatchProfile
-
-        profile = BatchProfile()
-        run_sweep(
-            dataclasses.replace(tiny_config, engine="vectorized"),
-            system="sync",
-            policies={"E-model": EModelPolicy},
-            profile=profile,
-        )
-        assert profile.macro_steps == 0
-
-    def test_batched_store_roundtrip(self, tiny_config, fast_policies, tmp_path):
-        from repro.store import ExperimentStore
-
-        config = dataclasses.replace(tiny_config, engine="batched")
-        cold = run_sweep(
-            config,
-            system="sync",
-            policies=fast_policies,
-            store=ExperimentStore(tmp_path),
-        )
-        assert cold.cache_misses == 4 and cold.cache_hits == 0
-        # The batch knob is execution shape: a different batch (and even a
-        # different engine) must hit every cached cell.
-        warm = run_sweep(
-            dataclasses.replace(config, batch=2, engine="vectorized"),
-            system="sync",
-            policies=fast_policies,
-            store=ExperimentStore(tmp_path),
-        )
-        assert warm.cache_hits == 4 and warm.cache_misses == 0
-        assert warm.records == cold.records

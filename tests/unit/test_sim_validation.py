@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.baselines.flooding import LargestFirstPolicy
 from repro.core.advance import Advance
 from repro.core.policies import GreedyOptPolicy
+from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.sim.broadcast import run_broadcast
 from repro.sim.trace import BroadcastResult
 from repro.sim.validation import ScheduleViolation, assert_valid, validate_broadcast
@@ -105,3 +110,72 @@ class TestViolationsDetected:
         result = _make_result(topo, source, [bogus])
         with pytest.raises(ScheduleViolation, match="manual"):
             assert_valid(topo, result, require_complete=False)
+
+
+@pytest.fixture(scope="module")
+def duty_trace():
+    """A multi-hop duty-cycle trace on a 60-node random deployment."""
+    config = DeploymentConfig(
+        num_nodes=60, area_side=20.0, radius=5.0, source_min_ecc=2, source_max_ecc=None
+    )
+    topology, source = deploy_uniform(config=config, seed=11)
+    schedule = WakeupSchedule(topology.node_ids, rate=5, seed=2)
+    trace = run_broadcast(
+        topology, source, LargestFirstPolicy(), schedule=schedule, align_start=True
+    )
+    return topology, schedule, trace
+
+
+def _corrupt(trace, schedule, corruption):
+    advances = list(trace.advances)
+    if corruption == "drop_first_advance":
+        return dataclasses.replace(trace, advances=tuple(advances[1:]))
+    if corruption == "duplicate_delivery":
+        advances[1] = dataclasses.replace(
+            advances[1], receivers=advances[1].receivers | advances[0].receivers
+        )
+        return dataclasses.replace(trace, advances=tuple(advances))
+    if corruption == "sleeping_transmitter":
+        target = advances[1]
+        asleep_slot = target.time + 1
+        while any(schedule.is_active(u, asleep_slot) for u in target.color) or any(
+            a.time == asleep_slot for a in advances
+        ):
+            asleep_slot += 1
+        advances[1] = dataclasses.replace(target, time=asleep_slot)
+        advances.sort(key=lambda a: a.time)
+        return dataclasses.replace(
+            trace, advances=tuple(advances), end_time=max(a.time for a in advances)
+        )
+    if corruption == "wrong_covered":
+        return dataclasses.replace(trace, covered=trace.covered - {max(trace.covered)})
+    assert corruption == "wrong_end_time"
+    return dataclasses.replace(trace, end_time=trace.end_time + 3)
+
+
+class TestCorruptedDutyTraces:
+    def test_engine_trace_is_valid(self, duty_trace):
+        topology, schedule, trace = duty_trace
+        assert validate_broadcast(topology, trace, schedule=schedule) == []
+
+    @pytest.mark.parametrize(
+        "corruption",
+        [
+            "drop_first_advance",
+            "duplicate_delivery",
+            "sleeping_transmitter",
+            "wrong_covered",
+            "wrong_end_time",
+        ],
+    )
+    def test_corruption_is_detected(self, duty_trace, corruption):
+        topology, schedule, trace = duty_trace
+        bad = _corrupt(trace, schedule, corruption)
+        assert validate_broadcast(topology, bad, schedule=schedule), (
+            f"corruption {corruption!r} was not detected"
+        )
+
+    def test_unknown_covered_ids_are_reported(self, duty_trace):
+        topology, schedule, trace = duty_trace
+        bad = dataclasses.replace(trace, covered=trace.covered | {987_654})
+        assert validate_broadcast(topology, bad, schedule=schedule)

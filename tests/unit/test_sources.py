@@ -84,3 +84,14 @@ class TestSelectSources:
     def test_unknown_anchor_rejected(self, line6):
         with pytest.raises(ValueError, match="unknown anchor"):
             select_sources(line6, 2, anchor=42)
+
+    def test_placement_returning_duplicates_is_an_error(self, line6, monkeypatch):
+        """A strategy breaking the k-distinct contract fails with an explicit
+        error naming it, not an assert."""
+
+        def repeating(topology, k, seed, area_side, chosen):
+            return [0] * k
+
+        monkeypatch.setitem(SOURCE_PLACEMENTS, "repeating", repeating)
+        with pytest.raises(RuntimeError, match="'repeating' returned .* not 3 distinct"):
+            select_sources(line6, 3, placement="repeating")

@@ -105,6 +105,29 @@ class TestCellKey:
             json.dumps(config.cell_key_fields())
         )
 
+    @pytest.mark.parametrize(
+        ("system", "rate", "digest"),
+        [
+            ("sync", 1, "40aa9e71714b93f07aa4b253ccb799609199778d4bdf799968b3bc18b6c021a7"),
+            ("duty", 10, "5a22f1c28989ecbc79fbd3a3662ae88394e628ebe03e82b1a95e7aaea0e8d798"),
+        ],
+    )
+    def test_quick_sweep_digests_are_pinned(self, system, rate, digest):
+        """Existing stores stay valid: these digests were recorded when
+        ``SweepConfig`` still had (key-excluded) ``engine`` and ``batch``
+        fields, and must never move without a schema bump."""
+        from repro.experiments.config import QUICK_SWEEP
+
+        key = cell_key_for(
+            QUICK_SWEEP,
+            system=system,
+            rate=rate,
+            num_nodes=50,
+            repetition=0,
+            policies=("26-approx", "OPT", "G-OPT", "E-model"),
+        )
+        assert key.digest == digest
+
 
 class TestBackends:
     def test_registry_names(self):

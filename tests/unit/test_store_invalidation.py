@@ -3,8 +3,8 @@
 The store is only safe if every record-affecting configuration axis moves
 the :class:`~repro.store.CellKey` digest (a stale cell must never be
 returned for a changed workload) while the execution-only knobs leave it
-alone (a cached cell must be reusable across engines, worker counts and
-grid extensions).  A digest is also only useful if it is stable across
+alone (a cached cell must be reusable across worker counts and grid
+extensions).  A digest is also only useful if it is stable across
 *processes* — two sweeps of the same config in different interpreters must
 converge on the same addresses.
 """
@@ -89,15 +89,12 @@ def test_schema_version_bump_forces_rerun(config):
 
 
 def test_execution_knobs_do_not_invalidate(config):
-    """Engine, workers, batch size and the grid shape are excluded by contract."""
+    """Workers and the grid shape are excluded by contract."""
     base = _digest(config)
-    assert _digest(dataclasses.replace(config, engine="vectorized")) == base
-    assert _digest(dataclasses.replace(config, engine="batched")) == base
     assert _digest(dataclasses.replace(config, workers=8)) == base
-    assert _digest(dataclasses.replace(config, batch=16)) == base
     assert _digest(dataclasses.replace(config, node_counts=(16, 24, 32))) == base
     assert _digest(dataclasses.replace(config, repetitions=7)) == base
-    excluded = {"engine", "workers", "batch", "node_counts", "repetitions"}
+    excluded = {"workers", "node_counts", "repetitions"}
     assert CELL_KEY_EXCLUDED_FIELDS == frozenset(excluded)
 
 

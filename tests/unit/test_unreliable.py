@@ -1,29 +1,34 @@
-"""Unit tests for broadcasting over unreliable links (repro.sim.unreliable)."""
+"""Unit tests for broadcasting over unreliable links (``run_broadcast`` with
+an :class:`~repro.sim.links.IndependentLossLinks` link model)."""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.baselines.flooding import LargestFirstPolicy
+from repro.baselines.flooding import FloodingPolicy, LargestFirstPolicy
 from repro.core.policies import EModelPolicy, GreedyOptPolicy
 from repro.core.time_counter import SearchConfig
-from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
+from repro.sim.broadcast import run_broadcast
 from repro.sim.links import IndependentLossLinks
-from repro.sim.unreliable import (
-    LossyRoundEngine,
-    LossySlotEngine,
-    reliability_sweep,
-    run_lossy_broadcast,
-)
+from repro.utils.rng import derive_seed
+
+
+def run_lossy(topo, source, policy, *, loss_probability, seed=0, **kwargs):
+    """One broadcast over independent per-link losses."""
+    return run_broadcast(
+        topo,
+        source,
+        policy,
+        link_model=IndependentLossLinks(loss_probability, seed=seed),
+        **kwargs,
+    )
 
 
 class TestLossFreeEquivalence:
     def test_zero_loss_matches_reliable_engine(self, figure1, small_deployment):
         for topo, source in (figure1, small_deployment):
             reliable = run_broadcast(topo, source, EModelPolicy())
-            lossy = run_lossy_broadcast(
+            lossy = run_lossy(
                 topo, source, EModelPolicy(), loss_probability=0.0
             )
             assert lossy.latency == reliable.latency
@@ -36,7 +41,7 @@ class TestLossFreeEquivalence:
 class TestLossyBehaviour:
     def test_broadcast_completes_despite_losses(self, small_deployment):
         topo, source = small_deployment
-        result = run_lossy_broadcast(
+        result = run_lossy(
             topo,
             source,
             EModelPolicy(),
@@ -47,10 +52,10 @@ class TestLossyBehaviour:
 
     def test_losses_never_speed_up_coverage(self, small_deployment):
         topo, source = small_deployment
-        clean = run_lossy_broadcast(
+        clean = run_lossy(
             topo, source, EModelPolicy(), loss_probability=0.0
         )
-        lossy = run_lossy_broadcast(
+        lossy = run_lossy(
             topo, source, EModelPolicy(), loss_probability=0.4, seed=3
         )
         assert lossy.latency >= clean.latency
@@ -58,7 +63,7 @@ class TestLossyBehaviour:
     def test_retransmissions_appear_in_trace(self, small_deployment):
         """With losses a node may transmit again in a later round."""
         topo, source = small_deployment
-        result = run_lossy_broadcast(
+        result = run_lossy(
             topo, source, LargestFirstPolicy(), loss_probability=0.5, seed=11
         )
         counts = result.transmissions_by_node()
@@ -66,7 +71,7 @@ class TestLossyBehaviour:
 
     def test_receivers_subset_of_intended(self, small_deployment):
         topo, source = small_deployment
-        result = run_lossy_broadcast(
+        result = run_lossy(
             topo, source, EModelPolicy(), loss_probability=0.3, seed=7
         )
         covered = {source}
@@ -81,7 +86,7 @@ class TestLossyBehaviour:
     def test_duty_cycle_lossy_broadcast(self, small_deployment, duty_schedule_factory):
         topo, source = small_deployment
         schedule = duty_schedule_factory(topo, rate=6)
-        result = run_lossy_broadcast(
+        result = run_lossy(
             topo,
             source,
             GreedyOptPolicy(search=SearchConfig(mode="beam", beam_width=3)),
@@ -98,16 +103,16 @@ class TestLossyBehaviour:
     def test_invalid_probability_rejected(self, figure2):
         topo, source = figure2
         with pytest.raises(ValueError):
-            run_lossy_broadcast(topo, source, EModelPolicy(), loss_probability=1.5)
+            run_lossy(topo, source, EModelPolicy(), loss_probability=1.5)
         with pytest.raises(ValueError):
-            LossyRoundEngine(topo, loss_probability=-0.1)
+            IndependentLossLinks(-0.1)
 
     def test_deterministic_given_seed(self, small_deployment):
         topo, source = small_deployment
-        first = run_lossy_broadcast(
+        first = run_lossy(
             topo, source, EModelPolicy(), loss_probability=0.3, seed=9
         )
-        second = run_lossy_broadcast(
+        second = run_lossy(
             topo, source, EModelPolicy(), loss_probability=0.3, seed=9
         )
         assert first.latency == second.latency
@@ -116,70 +121,36 @@ class TestLossyBehaviour:
         ]
 
 
-class TestDeprecatedShims:
-    """The PR-3 compatibility shims: loud deprecation, registry resolution."""
-
-    def test_round_shim_emits_deprecation_warning(self, small_deployment):
-        topo, _ = small_deployment
-        with pytest.warns(DeprecationWarning, match="LossyRoundEngine"):
-            LossyRoundEngine(topo, loss_probability=0.2, seed=4)
-
-    def test_slot_shim_emits_deprecation_warning(
-        self, small_deployment, duty_schedule_factory
-    ):
-        topo, _ = small_deployment
-        schedule = duty_schedule_factory(topo, rate=6)
-        with pytest.warns(DeprecationWarning, match="LossySlotEngine"):
-            LossySlotEngine(topo, schedule, loss_probability=0.2, seed=4)
-
-    def test_shims_resolve_through_engine_backends(
-        self, small_deployment, duty_schedule_factory
-    ):
-        """The shims are the registry's reference engines, not private forks."""
-        topo, _ = small_deployment
-        reference_round, reference_slot = ENGINE_BACKENDS["reference"]
-        assert issubclass(LossyRoundEngine, reference_round)
-        assert issubclass(LossySlotEngine, reference_slot)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            round_shim = LossyRoundEngine(topo, loss_probability=0.25, seed=4)
-            slot_shim = LossySlotEngine(
-                topo, duty_schedule_factory(topo, rate=6), loss_probability=0.25, seed=4
-            )
-        for shim in (round_shim, slot_shim):
-            assert isinstance(shim.link_model, IndependentLossLinks)
-            assert shim.loss_probability == 0.25
-
-    def test_round_shim_matches_canonical_entry_point(self, small_deployment):
-        """A shim run is bit-identical to run_broadcast with the link model."""
+class TestLatencyInflation:
+    def test_mean_latency_never_below_loss_free(self, small_deployment):
         topo, source = small_deployment
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = LossyRoundEngine(topo, loss_probability=0.3, seed=7)
-        via_shim = shim.run(EModelPolicy(), source)
-        canonical = run_broadcast(
-            topo,
-            source,
-            EModelPolicy(),
-            link_model=IndependentLossLinks(0.3, seed=7),
-            validate=False,
-        )
-        assert via_shim == canonical
-
-
-class TestReliabilitySweep:
-    def test_sweep_structure_and_monotone_baseline(self, small_deployment):
-        topo, source = small_deployment
-        points = reliability_sweep(
-            topo,
-            source,
-            EModelPolicy,
-            loss_probabilities=(0.0, 0.2, 0.4),
-            repetitions=2,
-            base_seed=1,
-        )
-        assert [p.loss_probability for p in points] == [0.0, 0.2, 0.4]
-        assert points[0].mean_extra_rounds == 0.0
-        assert all(p.completed == p.attempts == 2 for p in points)
+        mean_latency = {}
+        for probability in (0.0, 0.2, 0.4):
+            latencies = [
+                run_lossy(
+                    topo,
+                    source,
+                    EModelPolicy(),
+                    loss_probability=probability,
+                    seed=derive_seed(1, "loss", probability, repetition),
+                ).latency
+                for repetition in range(2)
+            ]
+            mean_latency[probability] = sum(latencies) / len(latencies)
         # Latency under losses is never better than the loss-free latency.
-        assert all(p.mean_latency >= points[0].mean_latency for p in points)
+        assert all(value >= mean_latency[0.0] for value in mean_latency.values())
+
+    def test_flooding_runs_unvalidated_over_lossy_links(self, small_deployment):
+        """Flooding ignores interference, so lossy runs skip the validator."""
+        topo, source = small_deployment
+        policy = FloodingPolicy()
+        result = run_lossy(
+            topo,
+            source,
+            policy,
+            loss_probability=0.3,
+            seed=4,
+            validate=policy.interference_free,
+        )
+        assert result.covered == topo.node_set
+        assert result.latency >= topo.eccentricity(source)
