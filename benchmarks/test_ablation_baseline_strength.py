@@ -1,6 +1,6 @@
 """Ablation A5: how strong is our baseline re-implementation?
 
-EXPERIMENTS.md attributes the gap between the paper's 70-90% improvement
+docs/architecture.md#documented-approximations attributes the gap between the paper's 70-90% improvement
 claims and our measured 45-85% to the strength of the re-implemented
 baselines (greedy minimal parent cover).  This bench quantifies that by
 comparing the two parent-selection modes of the 26-approximation on the same

@@ -2,8 +2,8 @@
 
 This bench runs the three experimental sweeps (Figures 3, 4 and 6) once and
 evaluates the paper's quantitative take-aways side by side with the measured
-values; the claim table is printed so EXPERIMENTS.md can be refreshed from
-the benchmark output.
+values; the claim table is printed next to the substitutions listed in
+docs/architecture.md#documented-approximations.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ class Approx17Policy(SchedulingPolicy):
 
     #: The plan is fixed at ``prepare`` time and assumes every delivery
     #: succeeds — under lossy links it live-locks (exactly the §VI critique
-    #: of schedulers relying on healthy links), so the engines reject it.
+    #: of schedulers relying on healthy links), so ``run_broadcast`` rejects it.
     loss_tolerant = False
 
     def __init__(
@@ -104,7 +104,7 @@ class Approx17Policy(SchedulingPolicy):
         safe — the engine simply offers that slot and gets ``None``.  No
         promise is made before :meth:`prepare` or once the plan is
         exhausted, so the unprepared/exhausted errors fire at the exact
-        slot the unhinted engines would surface them.
+        slot an unhinted kernel would surface them.
         """
         if self._tree is None or self._schedule is None:
             return None

@@ -80,8 +80,8 @@ class Approx26Policy(SchedulingPolicy):
 
     #: The replayed plan assumes every delivery succeeds; over lossy links
     #: it would schedule senders that never received the message (the §VI
-    #: critique of schedulers relying on healthy links), so the engines
-    #: reject it.
+    #: critique of schedulers relying on healthy links), so
+    #: ``run_broadcast`` rejects it.
     loss_tolerant = False
 
     def __init__(

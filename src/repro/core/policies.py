@@ -49,8 +49,8 @@ class SchedulingPolicy(ABC):
     #: Human-readable name used in traces, metrics and experiment reports.
     name: str = "policy"
 
-    #: Whether the policy promises interference-free advances.  The engines
-    #: reject conflicting transmitter sets for such policies (catching bugs
+    #: Whether the policy promises interference-free advances.  The kernel
+    #: rejects conflicting transmitter sets for such policies (catching bugs
     #: early); the idealised flooding reference sets this to False because it
     #: deliberately ignores interference (it is a latency floor, not a real
     #: schedule).
@@ -78,11 +78,13 @@ class SchedulingPolicy(ABC):
     def next_decision_slot(self, time: int) -> int | None:
         """Earliest slot >= ``time`` at which the policy might transmit.
 
-        A fast-forward hint honoured by the engines: returning ``s`` is a
+        A fast-forward hint honoured by the kernel: returning ``s`` is a
         promise that :meth:`select_advance` answers ``None`` for every slot
-        in ``[time, s)``, so the engine may jump straight to ``s`` without
+        in ``[time, s)``, so the kernel may jump straight to ``s`` without
         offering the intermediate slots.  Returning ``None`` (the default)
-        makes no promise — every slot is offered as usual.
+        makes no promise — every slot is offered as usual.  With several
+        concurrent messages the kernel jumps only when every unfinished
+        message hints, and then to the earliest hinted slot.
         Policies that precompute their transmission times (replays, the
         exact tiers, the layer-schedule baselines) override this.
         """

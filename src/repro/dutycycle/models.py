@@ -123,7 +123,7 @@ def assign_rates(
     ids = sorted(set(int(u) for u in node_ids))
     rates = spec.assign(ids, int(base_rate), make_rng(seed), **merged)
     # Real checks, not asserts: a third-party model violating the contract
-    # would otherwise silently mis-size the engines' worst-case slot caps.
+    # would otherwise silently mis-size the kernel's worst-case slot caps.
     require(
         set(rates) == set(ids),
         f"duty model {name!r} must assign a rate to every node",

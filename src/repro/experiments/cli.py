@@ -112,8 +112,16 @@ from repro.fabric import (
     HttpTransport,
     TransportError,
 )
+from repro.network.deployment import DeploymentError
 from repro.network.sources import placement_names
-from repro.obs import EVENT_BUS, JsonlTraceSink, SweepMonitor
+from repro.obs import (
+    EVENT_BUS,
+    CallbackSink,
+    Event,
+    JsonlTraceSink,
+    SweepMonitor,
+    SweepStarted,
+)
 from repro.scenarios import list_scenarios, scenario_names
 from repro.sim.links import link_model_names
 from repro.solvers import solver_catalog, solver_names
@@ -828,8 +836,13 @@ def main(argv: list[str] | None = None) -> int:
     config = _config_from_args(args)
     store = open_store(args.store)
 
-    def _progress(message: str) -> None:
-        print(message, file=sys.stderr)
+    def _store_split(event: Event) -> None:
+        if isinstance(event, SweepStarted):
+            print(
+                f"store: {event.cached_cells} cells cached, "
+                f"{event.missing_cells} to simulate",
+                file=sys.stderr,
+            )
 
     targets = (
         [args.target]
@@ -901,6 +914,11 @@ def main(argv: list[str] | None = None) -> int:
                     if args.trace is not None
                     else None
                 )
+                store_sink = (
+                    EVENT_BUS.attach(CallbackSink(_store_split))
+                    if store is not None
+                    else None
+                )
                 try:
                     sweep = run_sweep(
                         config,
@@ -908,9 +926,10 @@ def main(argv: list[str] | None = None) -> int:
                         rate=args.rate,
                         store=store,
                         resume=args.resume,
-                        progress=_progress if store is not None else None,
                     )
                 finally:
+                    if store_sink is not None:
+                        EVENT_BUS.detach(store_sink)
                     if trace_sink is not None:
                         EVENT_BUS.detach(trace_sink)
                         trace_sink.close()
@@ -946,6 +965,9 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 checks = summary_claims(fig3, fig4, fig6)
                 _emit("claims", claims_to_text(checks), None, args.csv_dir)
+    except DeploymentError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         if store is not None:
             store.close()

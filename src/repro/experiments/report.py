@@ -1,9 +1,9 @@
 """Summary-claim evaluation (Section V-C) and CSV/report helpers.
 
 Section V-C distils the figures into a handful of quantitative claims; this
-module recomputes them from reproduced figure results so EXPERIMENTS.md (and
-the ``benchmarks/test_summary_claims.py`` bench) can put the paper's numbers
-and the measured numbers side by side:
+module recomputes them from reproduced figure results so the CLI's
+``claims`` target (and the ``benchmarks/test_summary_claims.py`` bench) can
+put the paper's numbers and the measured numbers side by side:
 
 * at least ~70% latency improvement over the 26-approximation in the
   round-based system;
@@ -70,7 +70,7 @@ def summary_claims(
     The ``*_floor`` thresholds are the acceptance criteria used by the
     benchmark (they are intentionally looser than the paper's headline
     numbers because our baseline re-implementations are somewhat stronger
-    than the originals — see EXPERIMENTS.md for the discussion).
+    than the originals — see docs/architecture.md#documented-approximations).
     """
     checks: list[ClaimCheck] = []
 

@@ -62,11 +62,10 @@ from repro.baselines.approx26 import Approx26Policy
 from repro.core.policies import EModelPolicy, GreedyOptPolicy, OptPolicy, SchedulingPolicy
 from repro.dutycycle.models import build_wakeup_schedule
 from repro.experiments.config import SweepConfig
-from repro.network.deployment import DeploymentConfig, deploy_uniform
+from repro.network.deployment import DeploymentConfig, DeploymentError
 from repro.network.sources import select_sources
 from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
-from repro.obs.sinks import CallbackSink
 from repro.scenarios import generate_scenario
 from repro.sim.broadcast import run_broadcast
 from repro.sim.energy import energy_of_broadcast
@@ -381,13 +380,14 @@ def _prepare_cell(cell: SweepCell) -> _CellSetup:
         source_min_ecc=config.source_min_ecc,
         source_max_ecc=config.source_max_ecc,
     )
-    if config.scenario == "uniform":
-        # The paper's generator, kept on its original code path so uniform
-        # sweeps stay bit-compatible with pre-scenario records.
-        topology, source = deploy_uniform(config=deployment_config, seed=seed)
-    else:
+    try:
         deployment = generate_scenario(config.scenario, deployment_config, seed=seed)
-        topology, source = deployment.topology, deployment.source
+    except DeploymentError as error:
+        raise DeploymentError(
+            f"cell system={cell.system} rate={cell.rate} n={cell.num_nodes} "
+            f"repetition={cell.repetition} seed={seed}: {error}"
+        ) from error
+    topology, source = deployment.topology, deployment.source
     schedule = None
     if cell.system == "duty":
         schedule = build_wakeup_schedule(
@@ -409,7 +409,7 @@ def _prepare_cell(cell: SweepCell) -> _CellSetup:
     # The multi-source axis: k - 1 extra sources placed around the vetted
     # deployment source by the configured strategy, seeded per cell (the
     # "multi-source" split) so records stay bit-identical for any worker
-    # count.  k = 1 keeps the original single-source code path.
+    # count.
     n_sources = config.n_sources
     sources = (source,)
     if n_sources > 1:
@@ -479,32 +479,20 @@ def _run_cell(cell: SweepCell) -> list[RunRecord]:
         EVENT_BUS.emit(
             _events.CellStarted(cell.system, cell.rate, cell.num_nodes, cell.repetition)
         )
-    config = cell.config
     setup = _prepare_cell(cell)
-    n_sources = config.n_sources
     records: list[RunRecord] = []
     for name, factory in setup.policies:
-        if n_sources == 1:
-            trace = run_broadcast(
-                setup.topology,
-                setup.source,
-                factory(),
-                schedule=setup.schedule,
-                align_start=cell.system == "duty",
-                link_model=setup.link_model,
-            )
-            message_latencies: tuple[int, ...] = (trace.latency,)
-        else:
-            trace = run_broadcast(
-                setup.topology,
-                list(setup.sources),
-                [factory() for _ in range(n_sources)],
-                schedule=setup.schedule,
-                align_start=cell.system == "duty",
-                link_model=setup.link_model,
-            )
-            message_latencies = trace.per_message_latency
-        records.append(_cell_record(cell, setup, name, trace, message_latencies))
+        trace = run_broadcast(
+            setup.topology,
+            setup.sources,
+            [factory() for _ in setup.sources],
+            schedule=setup.schedule,
+            align_start=cell.system == "duty",
+            link_model=setup.link_model,
+        )
+        records.append(
+            _cell_record(cell, setup, name, trace, trace.per_message_latency)
+        )
     return records
 
 
@@ -555,7 +543,6 @@ def run_sweep(
     workers: int | None = None,
     store: ExperimentStore | None = None,
     resume: bool = True,
-    progress: Callable[[str], None] | None = None,
     fabric: object | None = None,
 ) -> SweepResult:
     """Run the full sweep and return the collected records.
@@ -589,13 +576,6 @@ def run_sweep(
     resume:
         Consult the store before dispatching (default).  ``False`` forces a
         full re-simulation that overwrites the cached cells.
-    progress:
-        Optional sink for one-line progress messages (the CLI passes a
-        stderr printer); reports the cache hit/miss split.  A legacy shim:
-        it is served by a :class:`~repro.obs.sinks.CallbackSink` rendering
-        the :class:`~repro.obs.events.SweepStarted` event — new callers
-        should attach a sink to :data:`~repro.obs.bus.EVENT_BUS` instead
-        and see the full event stream (docs/telemetry.md).
     fabric:
         Optional fabric executor (:class:`repro.fabric.LocalFleet`, or any
         object with the same ``execute(cells, store=...)`` method): the
@@ -659,33 +639,16 @@ def run_sweep(
 
     missing = [index for index in range(len(cells)) if index not in per_cell]
 
-    # ``progress=`` predates the event bus; it survives as a CallbackSink
-    # that renders SweepStarted back into the legacy one-line store split.
-    progress_sink = None
-    if progress is not None and store is not None:
-
-        def _legacy_line(event: _events.Event) -> None:
-            if isinstance(event, _events.SweepStarted):
-                progress(
-                    f"store: {event.cached_cells} cells cached, "
-                    f"{event.missing_cells} to simulate"
-                )
-
-        progress_sink = EVENT_BUS.attach(CallbackSink(_legacy_line))
-    try:
-        if EVENT_BUS.active:
-            EVENT_BUS.emit(
-                _events.SweepStarted(
-                    system,
-                    effective_rate,
-                    len(cells),
-                    result.cache_hits if store is not None else -1,
-                    len(missing),
-                )
+    if EVENT_BUS.active:
+        EVENT_BUS.emit(
+            _events.SweepStarted(
+                system,
+                effective_rate,
+                len(cells),
+                result.cache_hits if store is not None else -1,
+                len(missing),
             )
-    finally:
-        if progress_sink is not None:
-            EVENT_BUS.detach(progress_sink)
+        )
     if missing and fabric is not None:
         # Fabric mode: lease the missing cells out to a coordinator/worker
         # fleet.  The coordinator validates and commits each cell into the

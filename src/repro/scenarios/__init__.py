@@ -2,7 +2,7 @@
 
 ``repro.scenarios`` is a registry of deployment generators.  Every scenario
 returns a standard :class:`~repro.network.deployment.Deployment`, so the
-engines — reliable or lossy — and the whole experiment harness run
+broadcast kernel — reliable or lossy — and the whole experiment harness run
 unchanged on any of them:
 
 >>> from repro.scenarios import generate_scenario, scenario_names

@@ -1,8 +1,8 @@
-"""Broadcast simulators: engines, traces, validation and metrics."""
+"""Broadcast simulation: the kernel, traces, validation and metrics."""
 
 from repro.sim.broadcast import run_broadcast
 from repro.sim.energy import EnergyModel, EnergyReport, energy_of_broadcast
-from repro.sim.engine import RoundEngine, SimulationTimeout, SlotEngine
+from repro.sim.engine import SimulationTimeout, simulate
 from repro.sim.links import (
     LINK_MODELS,
     IndependentLossLinks,
@@ -22,7 +22,6 @@ from repro.sim.trace import BroadcastResult, MultiBroadcastResult
 from repro.sim.validation import (
     ScheduleViolation,
     assert_valid,
-    assert_valid_multi,
     validate_broadcast,
     validate_multi_broadcast,
 )
@@ -39,12 +38,9 @@ __all__ = [
     "MultiBroadcastResult",
     "ReliableLinks",
     "ReplayPolicy",
-    "RoundEngine",
     "ScheduleViolation",
     "SimulationTimeout",
-    "SlotEngine",
     "assert_valid",
-    "assert_valid_multi",
     "build_link_model",
     "energy_of_broadcast",
     "link_model_names",
@@ -52,6 +48,7 @@ __all__ = [
     "render_schedule_timeline",
     "render_topology_ascii",
     "run_broadcast",
+    "simulate",
     "validate_broadcast",
     "validate_multi_broadcast",
 ]

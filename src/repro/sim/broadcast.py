@@ -1,18 +1,20 @@
 """High-level entry point: run one broadcast with any policy.
 
 :func:`run_broadcast` is the function most users (and all examples,
-experiments and benchmarks) call: it wires the policy's
-:meth:`~repro.core.policies.SchedulingPolicy.prepare` hook, picks the right
-engine for the system model (round-based when no wake-up schedule is given,
-slot-based otherwise), applies the requested
-:class:`~repro.sim.links.LinkModel` (reliable by default) and returns the
-full :class:`~repro.sim.trace.BroadcastResult`.
+experiments and benchmarks) call: it rejects policies the link model or
+the source count cannot serve, wires the policy's
+:meth:`~repro.core.policies.SchedulingPolicy.prepare` hook, runs the
+broadcast kernel :func:`repro.sim.engine.simulate` (round-based when no
+wake-up schedule is given, slot-based otherwise) under the requested
+:class:`~repro.sim.links.LinkModel` (reliable by default), validates the
+trace and returns it.
 
-Passing a *sequence* of sources instead of a single node id selects the
-**multi-source workload**: ``k`` concurrent messages share the timeline
-(and the wake-up schedule) and contend for slots under the paper's
-interference rules — see ``_EngineBase._run_multi`` in
-:mod:`repro.sim.engine` for the contention semantics.  The result is then a
+A single node id is the one-message case of the kernel and returns that
+message's :class:`~repro.sim.trace.BroadcastResult`.  Passing a *sequence*
+of sources selects the **multi-source workload**: ``k`` concurrent messages
+share the timeline (and the wake-up schedule) and contend for slots under
+the paper's interference rules — see :mod:`repro.sim.engine` for the
+contention semantics.  The result is then a
 :class:`~repro.sim.trace.MultiBroadcastResult` with one complete
 per-message trace per source; for a one-element sequence it wraps a trace
 bit-identical to the single-source call.
@@ -26,10 +28,10 @@ from typing import Sequence
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
-from repro.sim.engine import RoundEngine, SlotEngine
+from repro.sim.engine import simulate
 from repro.sim.links import LinkModel, ReliableLinks
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
-from repro.sim.validation import assert_valid, assert_valid_multi
+from repro.sim.validation import assert_valid
 
 __all__ = ["run_broadcast"]
 
@@ -133,78 +135,52 @@ def run_broadcast(
         raise TypeError(
             f"source must be a node id or a sequence of node ids, got {source!r}"
         )
-    if not isinstance(source, (int,)) and not hasattr(source, "__index__"):
+    single = isinstance(source, int) or hasattr(source, "__index__")
+    if single:
+        if not isinstance(policy, SchedulingPolicy):
+            raise TypeError(
+                "a single-source broadcast takes a single SchedulingPolicy; pass "
+                "a sequence of sources for the multi-source workload"
+            )
+        sources: tuple[int, ...] = (source,)
+        policies = [policy]
+    else:
         sources = tuple(int(s) for s in source)
         policies = _resolve_policies(policy, len(sources))
-        for item in policies:
-            if not link.lossless and not getattr(item, "loss_tolerant", True):
-                raise ValueError(
-                    f"policy {item.name!r} replays a fixed plan that assumes "
-                    "reliable delivery and cannot run over lossy links; pick "
-                    "a loss-tolerant tier from the solver registry "
-                    "(repro.solvers.SOLVER_TIERS, --list-solvers) or a "
-                    "frontier scheduler (OPT, G-OPT, E-model, largest-first) "
-                    "for the loss axis"
-                )
-            if len(sources) > 1 and not getattr(item, "loss_tolerant", True):
-                raise ValueError(
-                    f"policy {item.name!r} replays a fixed plan and cannot "
-                    "share the timeline with concurrent messages: multi-source "
-                    "slot contention defers advances, which requires frontier "
-                    "re-planning — pick a loss-tolerant tier from the solver "
-                    "registry (repro.solvers.SOLVER_TIERS, --list-solvers) or "
-                    "a frontier scheduler (OPT, G-OPT, E-model, largest-first)"
-                )
-        for item, src in zip(policies, sources):
-            item.prepare(topology, schedule, src)
-        if schedule is None:
-            round_engine = RoundEngine(topology, link_model=link)
-            multi = round_engine.run_multi(
-                policies, sources, start_time=start_time, max_rounds=max_time
+    for item in policies:
+        if getattr(item, "loss_tolerant", True):
+            continue
+        if not link.lossless:
+            raise ValueError(
+                f"policy {item.name!r} replays a fixed plan that assumes "
+                "reliable delivery and cannot run over lossy links; pick "
+                "a loss-tolerant tier from the solver registry "
+                "(repro.solvers.SOLVER_TIERS, --list-solvers) or a "
+                "frontier scheduler (OPT, G-OPT, E-model, largest-first) "
+                "for the loss axis"
             )
-        else:
-            slot_engine = SlotEngine(topology, schedule, link_model=link)
-            multi = slot_engine.run_multi(
-                policies,
-                sources,
-                start_time=start_time,
-                align_start=align_start,
-                max_slots=max_time,
+        if len(sources) > 1:
+            raise ValueError(
+                f"policy {item.name!r} replays a fixed plan and cannot "
+                "share the timeline with concurrent messages: multi-source "
+                "slot contention defers advances, which requires frontier "
+                "re-planning — pick a loss-tolerant tier from the solver "
+                "registry (repro.solvers.SOLVER_TIERS, --list-solvers) or "
+                "a frontier scheduler (OPT, G-OPT, E-model, largest-first)"
             )
-        if validate:
-            assert_valid_multi(
-                topology, multi, schedule=schedule, lossy=not link.lossless
-            )
-        return multi
-
-    if not isinstance(policy, SchedulingPolicy):
-        raise TypeError(
-            "a single-source broadcast takes a single SchedulingPolicy; pass "
-            "a sequence of sources for the multi-source workload"
-        )
-    if not link.lossless and not getattr(policy, "loss_tolerant", True):
-        raise ValueError(
-            f"policy {policy.name!r} replays a fixed plan that assumes reliable "
-            "delivery and cannot run over lossy links; pick a loss-tolerant "
-            "tier from the solver registry (repro.solvers.SOLVER_TIERS, "
-            "--list-solvers) or a frontier scheduler (OPT, G-OPT, E-model, "
-            "largest-first) for the loss axis"
-        )
-    policy.prepare(topology, schedule, source)
-    if schedule is None:
-        round_engine = RoundEngine(topology, link_model=link)
-        result = round_engine.run(
-            policy, source, start_time=start_time, max_rounds=max_time
-        )
-    else:
-        slot_engine = SlotEngine(topology, schedule, link_model=link)
-        result = slot_engine.run(
-            policy,
-            source,
-            start_time=start_time,
-            align_start=align_start,
-            max_slots=max_time,
-        )
+    for item, src in zip(policies, sources):
+        item.prepare(topology, schedule, src)
+    multi = simulate(
+        topology,
+        policies,
+        sources,
+        schedule=schedule,
+        link_model=link,
+        start_time=start_time,
+        align_start=align_start,
+        max_time=max_time,
+    )
+    result = multi.messages[0] if single else multi
     if validate:
         assert_valid(topology, result, schedule=schedule, lossy=not link.lossless)
     return result

@@ -1,29 +1,28 @@
-"""Round-based and slot-based broadcast engines (the set-based kernel).
+"""The broadcast kernel: one loop for both system models and any source count.
 
-The engines own the simulation loop; every scheduling decision is delegated
-to a :class:`repro.core.policies.SchedulingPolicy`, and every *delivery* to
-a :class:`repro.sim.links.LinkModel` (reliable by default, lossy for the
-§VI robustness experiments).  Both engines enforce the paper's network
-model at the boundary:
+:func:`simulate` owns the simulation loop; every scheduling decision is
+delegated to a :class:`repro.core.policies.SchedulingPolicy`, and every
+*delivery* to a :class:`repro.sim.links.LinkModel` (reliable by default,
+lossy for the §VI robustness experiments).  ``schedule=None`` selects the
+round-based system (every node may relay every round); a wake-up schedule
+selects the duty-cycle system (a node relays only at its wake-up slots).
+The kernel enforces the paper's network model at the boundary:
 
 * a node may only relay if it already holds the message;
-* (slot engine) a node may only relay in a slot contained in its wake-up
+* (duty-cycle) a node may only relay in a slot contained in its wake-up
   schedule ``T(u)``;
 * the transmitters of a single round/slot must be mutually interference-free
   with respect to the nodes that still need the message — a policy
-  returning a conflicting set is a bug and the engine fails loudly instead
+  returning a conflicting set is a bug and the kernel fails loudly instead
   of silently simulating an invalid schedule;
 * the nodes *intended* by an advance are exactly the uncovered neighbours
   of its transmitters; the link model then decides which of them actually
   receive the message (all of them, for :class:`~repro.sim.links.ReliableLinks`).
 
-``_EngineBase._run`` is the shared broadcast kernel: one loop serves the
-reliable and the lossy configurations of both system models, so there is a
-single place where coverage, timing and trace recording are defined.
-
-``_EngineBase._run_multi`` is the *multi-source* kernel behind
-``run_broadcast(..., k sources)``: ``k`` concurrent wavefronts share the
-timeline (and, in the slot engine, the wake-up schedule) and contend for
+A broadcast is ``k`` wavefronts on one timeline, one per source; the
+single-source broadcast is the ``k = 1`` case, so coverage, timing and
+trace recording are defined in exactly one place.  With ``k > 1`` the
+wavefronts share the timeline (and the wake-up schedule) and contend for
 slots under the paper's interference rules.  Each message keeps its own
 covered set and its own policy instance; per slot the messages are offered
 in a rotating priority order (so no message is structurally favoured) and
@@ -55,206 +54,210 @@ from repro.sim.links import LinkModel, ReliableLinks
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
 from repro.utils.validation import require
 
-__all__ = ["SimulationTimeout", "RoundEngine", "SlotEngine"]
+__all__ = ["SimulationTimeout", "simulate"]
 
 
 class SimulationTimeout(RuntimeError):
-    """The broadcast did not complete within the engine's time limit."""
+    """The broadcast did not complete within the kernel's time limit."""
 
 
-class _EngineBase:
-    """Shared bookkeeping of both engines."""
-
-    def __init__(self, topology: WSNTopology, link_model: LinkModel | None = None) -> None:
-        self.topology = topology
-        self.link_model = ReliableLinks() if link_model is None else link_model
-
-    def _check_advance(
-        self,
-        advance: Advance,
-        covered: frozenset[int],
-        time: int,
-        schedule: WakeupSchedule | None,
-        *,
-        check_conflicts: bool = True,
-    ) -> None:
-        if advance.time != time:
+def _check_advance(
+    topology: WSNTopology,
+    advance: Advance,
+    covered: frozenset[int],
+    time: int,
+    schedule: WakeupSchedule | None,
+    check_conflicts: bool,
+) -> None:
+    if advance.time != time:
+        raise ValueError(
+            f"policy returned an advance for time {advance.time}, expected {time}"
+        )
+    not_covered = advance.color - covered
+    if not_covered:
+        raise ValueError(
+            f"policy scheduled transmitters that do not hold the message: "
+            f"{sorted(not_covered)}"
+        )
+    if schedule is not None:
+        asleep = [u for u in advance.color if not schedule.is_active(u, time)]
+        if asleep:
             raise ValueError(
-                f"policy returned an advance for time {advance.time}, expected {time}"
+                f"policy scheduled sleeping transmitters at slot {time}: {sorted(asleep)}"
             )
-        not_covered = advance.color - covered
-        if not_covered:
+    if check_conflicts:
+        conflicts = conflicting_pairs(topology, advance.color, covered)
+        if conflicts:
             raise ValueError(
-                f"policy scheduled transmitters that do not hold the message: "
-                f"{sorted(not_covered)}"
+                f"policy scheduled conflicting transmitters at time {time}: {conflicts}"
             )
-        if schedule is not None:
-            asleep = [u for u in advance.color if not schedule.is_active(u, time)]
-            if asleep:
-                raise ValueError(
-                    f"policy scheduled sleeping transmitters at slot {time}: {sorted(asleep)}"
-                )
-        if check_conflicts:
-            conflicts = conflicting_pairs(self.topology, advance.color, covered)
-            if conflicts:
-                raise ValueError(
-                    f"policy scheduled conflicting transmitters at time {time}: {conflicts}"
-                )
-        expected = receivers_of(self.topology, advance.color, covered)
-        if expected != advance.receivers:
-            raise ValueError(
-                "advance.receivers does not match the uncovered neighbours of its "
-                f"transmitters at time {time}"
-            )
-
-    def _run(
-        self,
-        policy: SchedulingPolicy,
-        source: int,
-        start_time: int,
-        limit: int,
-        schedule: WakeupSchedule | None,
-    ) -> BroadcastResult:
-        require(source in self.topology, f"unknown source node {source}")
-        require(start_time >= 1, "start_time is 1-based")
-        link = self.link_model
-        link_state = None if link.lossless else link.make_state()
-        covered: frozenset[int] = frozenset({source})
-        advances: list[Advance] = []
-        time = start_time
-        end_time = start_time - 1
-        full = self.topology.node_set
-
-        while covered != full:
-            # Honour the policy's fast-forward hint before the limit check:
-            # the hint promises select_advance answers None on the skipped
-            # slots, so jumping is trace-preserving.
-            hinted = policy.next_decision_slot(time)
-            if hinted is not None and hinted > time:
-                time = hinted
-            if time > limit:
-                raise SimulationTimeout(
-                    f"broadcast did not complete by time {limit} "
-                    f"(covered {len(covered)}/{len(full)} nodes); the policy or the "
-                    "wake-up schedule is not making progress"
-                )
-            state = BroadcastState(
-                topology=self.topology,
-                covered=covered,
-                time=time,
-                schedule=schedule,
-            )
-            advance = policy.select_advance(state)
-            if advance is not None:
-                self._check_advance(
-                    advance,
-                    covered,
-                    time,
-                    schedule,
-                    check_conflicts=getattr(policy, "interference_free", True),
-                )
-                if link.lossless:
-                    recorded = advance
-                    delivered = advance.receivers
-                else:
-                    delivered = link.deliver(link_state, self.topology, advance, covered)
-                    recorded = replace(
-                        advance,
-                        receivers=delivered,
-                        intended_receivers=advance.receivers,
-                    )
-                covered = covered | delivered
-                if delivered:
-                    end_time = time
-                advances.append(recorded)
-            time += 1
-
-        return BroadcastResult(
-            policy_name=policy.name,
-            source=source,
-            start_time=start_time,
-            end_time=max(end_time, start_time - 1),
-            covered=covered,
-            advances=tuple(advances),
-            synchronous=schedule is None,
-            cycle_rate=1 if schedule is None else schedule.rate,
+    expected = receivers_of(topology, advance.color, covered)
+    if expected != advance.receivers:
+        raise ValueError(
+            "advance.receivers does not match the uncovered neighbours of its "
+            f"transmitters at time {time}"
         )
 
-    def _check_multi_inputs(
-        self, policies: Sequence[SchedulingPolicy], sources: Sequence[int]
-    ) -> None:
-        """Distinct known sources and one policy per message."""
-        require(len(sources) >= 1, "a multi-source broadcast needs >= 1 source")
-        require(
-            len(set(sources)) == len(sources),
-            f"duplicate sources: {sorted(sources)}",
+
+def _default_max_time(
+    topology: WSNTopology,
+    schedule: WakeupSchedule | None,
+    link_model: LinkModel,
+    source: int,
+) -> int:
+    """A generous time cap for one wavefront from ``source``.
+
+    Round-based: the hop radius times the maximum colour-clique size cannot
+    exceed the number of nodes times the hop radius.  Duty-cycle: several
+    times the baseline's ``17 k d`` worst case.  Both are stretched by the
+    link model's expected retransmission factor.
+    """
+    depth = max(topology.eccentricity(source), 1)
+    if schedule is None:
+        return int(
+            (depth * max(topology.max_degree(), 1) + depth + 8)
+            * link_model.limit_stretch
         )
-        for source in sources:
-            require(source in self.topology, f"unknown source node {source}")
-        require(
-            len(policies) == len(sources),
+    # max_rate, not rate: with heterogeneous duty cycling the cap must
+    # cover the sleepiest node's cycle length.
+    worst_per_layer = 2 * schedule.max_rate * (max(topology.max_degree(), 1) + 2)
+    return int(
+        (depth * worst_per_layer + 4 * schedule.max_rate) * link_model.limit_stretch
+    )
+
+
+def _check_inputs(
+    topology: WSNTopology,
+    policies: Sequence[SchedulingPolicy],
+    sources: Sequence[int],
+    schedule: WakeupSchedule | None,
+    start_time: int,
+) -> None:
+    """Reject malformed input before any slot is simulated.
+
+    The messages are built only on failure: this runs once per broadcast,
+    on the hot path of every sweep.
+    """
+    require(start_time >= 1, "start_time is 1-based")
+    if not sources:
+        raise ValueError("a broadcast needs >= 1 source")
+    for source in sources:
+        if source not in topology:
+            raise ValueError(f"unknown source node {source}")
+    if len(set(sources)) != len(sources):
+        raise ValueError(f"duplicate sources: {sorted(sources)}")
+    if len(policies) != len(sources):
+        raise ValueError(
             f"need one policy per message: {len(policies)} policies for "
-            f"{len(sources)} sources",
+            f"{len(sources)} sources"
         )
+    if schedule is not None:
+        missing = set(topology.node_ids) - set(schedule.node_ids)
+        if missing:
+            shown = sorted(missing)
+            raise ValueError(
+                f"wake-up schedule missing nodes {shown[:5]}..."
+                if len(shown) > 5
+                else f"wake-up schedule missing nodes {shown}"
+            )
 
-    def _run_multi(
-        self,
-        policies: Sequence[SchedulingPolicy],
-        sources: Sequence[int],
-        start_time: int,
-        limit: int,
-        schedule: WakeupSchedule | None,
-    ) -> MultiBroadcastResult:
-        # Inputs were validated by the public ``run_multi`` entry point
-        # (which needs them checked before its default-limit computation).
-        require(start_time >= 1, "start_time is 1-based")
-        topology = self.topology
-        k = len(sources)
-        link = self.link_model
-        link_state = None if link.lossless else link.make_state()
-        full = topology.node_set
-        covered: list[frozenset[int]] = [frozenset({s}) for s in sources]
-        advances: list[list[Advance]] = [[] for _ in range(k)]
-        end_times = [start_time - 1] * k
-        time = start_time
 
-        while any(c != full for c in covered):
-            if time > limit:
-                pending = sum(1 for c in covered if c != full)
-                raise SimulationTimeout(
-                    f"multi-source broadcast did not complete by time {limit} "
-                    f"({pending}/{k} messages still spreading); the policies, "
-                    "the wake-up schedule or the slot contention is not making "
-                    "progress"
-                )
-            # Slot-contention bookkeeping: nodes engaged this slot (either
-            # transmitting or intended to receive some accepted message),
-            # nodes in range of an accepted transmitter, and the accepted
-            # intended receivers — all as bigint masks.
-            busy_mask = 0
-            heard_mask = 0
-            rx_mask = 0
-            offset = (time - start_time) % k
-            for m in ((offset + j) % k for j in range(k)):
-                if covered[m] == full:
-                    continue
-                policy = policies[m]
-                state = BroadcastState(
-                    topology=topology,
-                    covered=covered[m],
-                    time=time,
-                    schedule=schedule,
-                )
-                advance = policy.select_advance(state)
-                if advance is None:
-                    continue
-                self._check_advance(
-                    advance,
-                    covered[m],
-                    time,
-                    schedule,
-                    check_conflicts=getattr(policy, "interference_free", True),
-                )
+def simulate(
+    topology: WSNTopology,
+    policies: Sequence[SchedulingPolicy],
+    sources: Sequence[int],
+    *,
+    schedule: WakeupSchedule | None = None,
+    link_model: LinkModel | None = None,
+    start_time: int = 1,
+    align_start: bool = False,
+    max_time: int | None = None,
+) -> MultiBroadcastResult:
+    """Simulate ``len(sources)`` broadcasts on one timeline; return every trace.
+
+    ``policies[i]`` schedules the message of ``sources[i]`` and must already
+    be prepared (``run_broadcast`` calls each policy's ``prepare`` hook).
+    ``schedule=None`` selects the round-based system.  ``align_start=True``
+    (duty-cycle only) moves the start to the *earliest* wake-up slot of any
+    source at or after ``start_time`` — for one source, ``t_s ∈ T(s)`` as in
+    the paper's examples; the other messages simply wait for their source's
+    first active slot.  ``max_time`` caps the simulated rounds/slots; it
+    defaults to the worst single-wavefront bound over the sources, stretched
+    by the message count (slot contention can serialise the wavefronts in
+    the worst case).
+
+    Every unfinished message's :meth:`SchedulingPolicy.next_decision_slot`
+    hint is consulted each slot: when all of them promise to idle, the
+    kernel jumps to the earliest hinted slot.
+    """
+    _check_inputs(topology, policies, sources, schedule, start_time)
+    link = ReliableLinks() if link_model is None else link_model
+    if schedule is not None and align_start:
+        start_time = min(
+            schedule.next_active_slot(source, start_time) for source in sources
+        )
+    k = len(sources)
+    if max_time is None:
+        max_time = max(
+            _default_max_time(topology, schedule, link, source) for source in sources
+        ) * k
+    limit = start_time + max_time
+
+    lossless = link.lossless
+    link_state = None if lossless else link.make_state()
+    full = topology.node_set
+    check_conflicts = [getattr(policy, "interference_free", True) for policy in policies]
+    covered: list[frozenset[int]] = [frozenset({source}) for source in sources]
+    advances: list[list[Advance]] = [[] for _ in range(k)]
+    end_times = [start_time - 1] * k
+    # The rotating priority orders, one per residue of the slot index.
+    rotations = [tuple((offset + j) % k for j in range(k)) for offset in range(k)]
+    contended = k > 1
+    pending = [m for m in range(k) if covered[m] != full]
+    time = start_time
+
+    while pending:
+        # Honour the fast-forward hints before the limit check: each hint
+        # promises select_advance answers None on the skipped slots, so
+        # jumping is trace-preserving — but only when every unfinished
+        # message makes that promise.
+        hinted = None
+        for m in pending:
+            hint = policies[m].next_decision_slot(time)
+            if hint is None:
+                hinted = None
+                break
+            if hinted is None or hint < hinted:
+                hinted = hint
+        if hinted is not None and hinted > time:
+            time = hinted
+        if time > limit:
+            spreading = ", ".join(f"{len(covered[m])}/{len(full)}" for m in pending)
+            raise SimulationTimeout(
+                f"broadcast did not complete by time {limit} ({len(pending)}/{k} "
+                f"messages still spreading, covered {spreading} nodes); the "
+                "policies, the wake-up schedule or the slot contention is not "
+                "making progress"
+            )
+        # Slot-contention bookkeeping (k > 1): nodes engaged this slot
+        # (either transmitting or intended to receive some accepted
+        # message), nodes in range of an accepted transmitter, and the
+        # accepted intended receivers — all as bigint masks.
+        busy_mask = heard_mask = rx_mask = 0
+        for m in rotations[(time - start_time) % k]:
+            frontier = covered[m]
+            if frontier == full:
+                continue
+            state = BroadcastState(
+                topology=topology, covered=frontier, time=time, schedule=schedule
+            )
+            advance = policies[m].select_advance(state)
+            if advance is None:
+                continue
+            _check_advance(
+                topology, advance, frontier, time, schedule, check_conflicts[m]
+            )
+            if contended:
                 color_mask = topology.mask_from_nodes(advance.color)
                 recv_mask = topology.mask_from_nodes(advance.receivers)
                 cand_heard = 0
@@ -268,183 +271,43 @@ class _EngineBase:
                     # Cross-message contention: defer this message; its
                     # frontier is unchanged, so the policy re-plans later.
                     continue
-                if link.lossless:
-                    recorded = advance
-                    delivered = advance.receivers
-                else:
-                    delivered = link.deliver(link_state, topology, advance, covered[m])
-                    recorded = replace(
-                        advance,
-                        receivers=delivered,
-                        intended_receivers=advance.receivers,
-                    )
-                covered[m] = covered[m] | delivered
-                if delivered:
-                    end_times[m] = time
-                advances[m].append(recorded)
                 busy_mask |= color_mask | recv_mask
                 heard_mask |= cand_heard
                 rx_mask |= recv_mask
-            time += 1
+            if lossless:
+                recorded = advance
+                delivered = advance.receivers
+            else:
+                delivered = link.deliver(link_state, topology, advance, frontier)
+                recorded = replace(
+                    advance, receivers=delivered, intended_receivers=advance.receivers
+                )
+            advances[m].append(recorded)
+            if delivered:
+                covered[m] = frontier | delivered
+                end_times[m] = time
+                if covered[m] == full:
+                    pending.remove(m)
+        time += 1
 
-        messages = tuple(
+    synchronous = schedule is None
+    cycle_rate = 1 if synchronous else schedule.rate
+    return MultiBroadcastResult(
+        sources=tuple(int(source) for source in sources),
+        start_time=start_time,
+        messages=tuple(
             BroadcastResult(
-                policy_name=policies[i].name,
-                source=sources[i],
+                policy_name=policies[m].name,
+                source=sources[m],
                 start_time=start_time,
-                end_time=max(end_times[i], start_time - 1),
-                covered=covered[i],
-                advances=tuple(advances[i]),
-                synchronous=schedule is None,
-                cycle_rate=1 if schedule is None else schedule.rate,
+                end_time=end_times[m],
+                covered=covered[m],
+                advances=tuple(advances[m]),
+                synchronous=synchronous,
+                cycle_rate=cycle_rate,
             )
-            for i in range(k)
-        )
-        return MultiBroadcastResult(
-            sources=tuple(int(s) for s in sources),
-            start_time=start_time,
-            messages=messages,
-            synchronous=schedule is None,
-            cycle_rate=1 if schedule is None else schedule.rate,
-        )
-
-
-class RoundEngine(_EngineBase):
-    """The round-based synchronous system: every node may relay every round."""
-
-    def run(
-        self,
-        policy: SchedulingPolicy,
-        source: int,
-        *,
-        start_time: int = 1,
-        max_rounds: int | None = None,
-    ) -> BroadcastResult:
-        """Simulate a broadcast and return its trace.
-
-        ``max_rounds`` defaults to a generous bound derived from the
-        baseline's worst case (the hop radius times the maximum colour-clique
-        size cannot exceed the number of nodes times the hop radius).
-        """
-        require(source in self.topology, f"unknown source node {source}")
-        if max_rounds is None:
-            max_rounds = self._default_max_rounds(source)
-        limit = start_time + max_rounds
-        return self._run(policy, source, start_time, limit, schedule=None)
-
-    def _default_max_rounds(self, source: int) -> int:
-        depth = max(self.topology.eccentricity(source), 1)
-        return int(
-            (depth * max(self.topology.max_degree(), 1) + depth + 8)
-            * self.link_model.limit_stretch
-        )
-
-    def run_multi(
-        self,
-        policies: Sequence[SchedulingPolicy],
-        sources: Sequence[int],
-        *,
-        start_time: int = 1,
-        max_rounds: int | None = None,
-    ) -> MultiBroadcastResult:
-        """Simulate ``len(sources)`` concurrent broadcasts on one timeline.
-
-        ``max_rounds`` defaults to the worst single-source bound over the
-        sources, stretched by the message count (slot contention can
-        serialise the wavefronts in the worst case).
-        """
-        self._check_multi_inputs(policies, sources)
-        if max_rounds is None:
-            max_rounds = max(
-                self._default_max_rounds(source) for source in sources
-            ) * max(len(sources), 1)
-        limit = start_time + max_rounds
-        return self._run_multi(policies, sources, start_time, limit, schedule=None)
-
-
-class SlotEngine(_EngineBase):
-    """The asynchronous duty-cycle system: relays only at wake-up slots."""
-
-    def __init__(
-        self,
-        topology: WSNTopology,
-        schedule: WakeupSchedule,
-        link_model: LinkModel | None = None,
-    ) -> None:
-        super().__init__(topology, link_model)
-        missing = set(topology.node_ids) - set(schedule.node_ids)
-        if missing:
-            raise ValueError(
-                f"wake-up schedule missing nodes {sorted(missing)[:5]}..."
-                if len(missing) > 5
-                else f"wake-up schedule missing nodes {sorted(missing)}"
-            )
-        self.schedule = schedule
-
-    def run(
-        self,
-        policy: SchedulingPolicy,
-        source: int,
-        *,
-        start_time: int = 1,
-        align_start: bool = False,
-        max_slots: int | None = None,
-    ) -> BroadcastResult:
-        """Simulate a duty-cycle broadcast.
-
-        ``align_start=True`` moves the start to the source's first wake-up
-        slot at or after ``start_time`` (so ``t_s ∈ T(s)`` as in the paper's
-        examples).  ``max_slots`` defaults to several times the baseline's
-        ``17 k d`` worst case.
-        """
-        require(source in self.topology, f"unknown source node {source}")
-        if align_start:
-            start_time = self.schedule.next_active_slot(source, start_time)
-        if max_slots is None:
-            max_slots = self._default_max_slots(source)
-        limit = start_time + max_slots
-        return self._run(policy, source, start_time, limit, schedule=self.schedule)
-
-    def _default_max_slots(self, source: int) -> int:
-        depth = max(self.topology.eccentricity(source), 1)
-        # max_rate, not rate: with heterogeneous duty cycling the cap
-        # must cover the sleepiest node's cycle length.
-        worst_per_layer = 2 * self.schedule.max_rate * (
-            max(self.topology.max_degree(), 1) + 2
-        )
-        return int(
-            (depth * worst_per_layer + 4 * self.schedule.max_rate)
-            * self.link_model.limit_stretch
-        )
-
-    def run_multi(
-        self,
-        policies: Sequence[SchedulingPolicy],
-        sources: Sequence[int],
-        *,
-        start_time: int = 1,
-        align_start: bool = False,
-        max_slots: int | None = None,
-    ) -> MultiBroadcastResult:
-        """Simulate concurrent duty-cycle broadcasts on one shared timeline.
-
-        ``align_start=True`` moves the shared start to the *earliest* wake-up
-        slot of any source at or after ``start_time`` (the other messages
-        simply wait for their source's first active slot).  ``max_slots``
-        defaults to the worst single-source bound over the sources,
-        stretched by the message count.
-        """
-        self._check_multi_inputs(policies, sources)
-        if align_start:
-            start_time = min(
-                self.schedule.next_active_slot(source, start_time)
-                for source in sources
-            )
-        if max_slots is None:
-            max_slots = max(
-                self._default_max_slots(source) for source in sources
-            ) * max(len(sources), 1)
-        limit = start_time + max_slots
-        return self._run_multi(
-            policies, sources, start_time, limit, schedule=self.schedule
-        )
+            for m in range(k)
+        ),
+        synchronous=synchronous,
+        cycle_rate=cycle_rate,
+    )

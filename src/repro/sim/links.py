@@ -1,8 +1,8 @@
 """Link models: the delivery semantics of the composable simulation core.
 
-The engines in :mod:`repro.sim.engine` share one broadcast kernel
-parameterised by a :class:`LinkModel` strategy.  The policy proposes an
-advance, the engine validates it against the paper's network model, and the
+The broadcast kernel :func:`repro.sim.engine.simulate` is parameterised
+by a :class:`LinkModel` strategy.  The policy proposes an
+advance, the kernel validates it against the paper's network model, and the
 link model decides which of the advance's intended receivers actually get
 the message:
 
@@ -46,10 +46,10 @@ __all__ = [
 
 
 class LinkModel(ABC):
-    """Delivery semantics strategy shared by both engines.
+    """Delivery semantics strategy of the broadcast kernel.
 
     A link model is immutable configuration; any per-run randomness lives in
-    the state object returned by :meth:`make_state`, which the engine
+    the state object returned by :meth:`make_state`, which the kernel
     creates once per simulated broadcast.  That keeps a single model
     instance reusable across runs (and across the policies of a sweep cell)
     with every run reproducing the same delivery pattern for the same seed.
@@ -58,13 +58,12 @@ class LinkModel(ABC):
     #: Registry name (also recorded in sweep records).
     name: str = "link-model"
 
-    #: True when every delivery succeeds.  The engines keep the original
+    #: True when every delivery succeeds.  The kernel keeps a
     #: zero-overhead code path (no delivery step, no trace rewriting) for
-    #: lossless models, so the reliable fast path is bit-for-bit the
-    #: pre-refactor engine.
+    #: lossless models.
     lossless: bool = False
 
-    #: Multiplier for the engines' *default* time limits (explicit
+    #: Multiplier for the kernel's *default* time limits (explicit
     #: ``max_time`` values are never stretched): lossy runs need roughly
     #: ``1 / (1 - p)`` attempts per delivery, so the reliable worst-case
     #: bound would trip prematurely at high loss rates.
@@ -107,7 +106,7 @@ class IndependentLossLinks(LinkModel):
     ``loss_probability``; a receiver covered by several same-round
     transmitters receives the message iff at least one of those deliveries
     succeeds.  ``loss_probability=0.0`` is declared lossless, so it takes
-    the reliable engines' unmodified code path and produces a trace *equal*
+    the kernel's reliable code path and produces a trace *equal*
     to :class:`ReliableLinks` (the identity the test suite pins down).
     """
 

@@ -1,12 +1,12 @@
-"""Replay a recorded broadcast trace through any engine.
+"""Replay a recorded broadcast trace through the broadcast kernel.
 
 :class:`ReplayPolicy` answers ``select_advance`` from a recorded
 :class:`~repro.sim.trace.BroadcastResult` instead of computing a schedule.
-Driving a replay through an engine re-validates every advance against the
+Driving a replay through the kernel re-validates every advance against the
 network model, which makes it useful for
 
-* auditing externally produced traces (the engine raises on any violation),
-* timing the engine's own machinery with *zero* policy cost, and
+* auditing externally produced traces (the kernel raises on any violation),
+* timing the kernel's own machinery with *zero* policy cost, and
 * re-rendering or re-measuring a stored schedule without re-running the
   scheduler that produced it.
 """
@@ -41,6 +41,6 @@ class ReplayPolicy(SchedulingPolicy):
         index = bisect_left(self._times, time)
         if index == len(self._times):
             # Past the recorded trace: no further transmissions ever happen,
-            # which the engine discovers by timing out.
+            # which the kernel discovers by timing out.
             return None if not self._times else self._times[-1] + 1_000_000_000
         return self._times[index]

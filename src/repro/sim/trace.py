@@ -160,7 +160,7 @@ class MultiBroadcastResult:
         are the per-message latency and coverage; for ``k = 1`` the single
         entry is bit-identical to the plain single-source trace.
     synchronous, cycle_rate:
-        The system model, mirrored from the engine.
+        The system model, mirrored from the kernel.
     """
 
     sources: tuple[int, ...]

@@ -1,10 +1,10 @@
 """Independent validation of broadcast traces.
 
-The engines already reject invalid advances while simulating; this module
+The kernel already rejects invalid advances while simulating; this module
 re-checks a finished :class:`~repro.sim.trace.BroadcastResult` *from scratch*
 (replaying coverage from the source) so that tests, property-based checks and
 the experiment harness can assert the network-model invariants without
-trusting the engine's internal bookkeeping.  The checks are exactly the
+trusting the kernel's internal bookkeeping.  The checks are exactly the
 paper's model constraints:
 
 1.  every transmitter held the message before transmitting;
@@ -40,7 +40,6 @@ __all__ = [
     "validate_broadcast",
     "assert_valid",
     "validate_multi_broadcast",
-    "assert_valid_multi",
 ]
 
 
@@ -184,6 +183,8 @@ def validate_multi_broadcast(
         ):
             violations.append(f"message {index} (source {message.source}): {violation}")
 
+    if len(result.messages) < 2:
+        return violations
     # Cross-message checks per shared round/slot, on the intended receivers.
     by_time: dict[int, list[tuple[int, frozenset[int], frozenset[int]]]] = defaultdict(list)
     for index, message in enumerate(result.messages):
@@ -216,40 +217,23 @@ def validate_multi_broadcast(
     return violations
 
 
-def assert_valid_multi(
-    topology: WSNTopology,
-    result: MultiBroadcastResult,
-    *,
-    schedule: WakeupSchedule | None = None,
-    require_complete: bool = True,
-    lossy: bool = False,
-) -> None:
-    """Raise :class:`ScheduleViolation` when a multi-source trace is invalid."""
-    violations = validate_multi_broadcast(
-        topology,
-        result,
-        schedule=schedule,
-        require_complete=require_complete,
-        lossy=lossy,
-    )
-    if violations:
-        details = "\n  - ".join(violations)
-        raise ScheduleViolation(
-            f"multi-source broadcast trace ({result.num_messages} messages) "
-            f"violates the network model:\n  - {details}"
-        )
-
-
 def assert_valid(
     topology: WSNTopology,
-    result: BroadcastResult,
+    result: BroadcastResult | MultiBroadcastResult,
     *,
     schedule: WakeupSchedule | None = None,
     require_complete: bool = True,
     lossy: bool = False,
 ) -> None:
-    """Raise :class:`ScheduleViolation` when the trace violates the model."""
-    violations = validate_broadcast(
+    """Raise :class:`ScheduleViolation` when the trace violates the model.
+
+    A :class:`MultiBroadcastResult` is checked by
+    :func:`validate_multi_broadcast`, any other trace by
+    :func:`validate_broadcast`.
+    """
+    multi = isinstance(result, MultiBroadcastResult)
+    validator = validate_multi_broadcast if multi else validate_broadcast
+    violations = validator(
         topology,
         result,
         schedule=schedule,
@@ -258,7 +242,11 @@ def assert_valid(
     )
     if violations:
         details = "\n  - ".join(violations)
+        subject = (
+            f"multi-source broadcast trace ({result.num_messages} messages)"
+            if multi
+            else f"broadcast trace from policy {result.policy_name!r}"
+        )
         raise ScheduleViolation(
-            f"broadcast trace from policy {result.policy_name!r} violates the "
-            f"network model:\n  - {details}"
+            f"{subject} violates the network model:\n  - {details}"
         )

@@ -5,7 +5,7 @@ The packages below this one *run* the paper's algorithm; this package
 the exact branch-and-bound (checked against an opt-in scipy/HiGHS ILP
 reference) down to the paper's E-model heuristic — behind one registry,
 and :func:`solve_broadcast` computes certified optimal schedules that
-replay through the ordinary simulation engines.  The observed-vs-proved
+replay through the ordinary broadcast kernel.  The observed-vs-proved
 approximation-ratio study (``figures.figure_ratio`` /
 ``report.ratio_claims``, CLI target ``ratio``) is built on top; see
 ``docs/solvers.md`` for the catalog and the exact-solver determinism

@@ -84,7 +84,7 @@ class SolverPlan:
     ``optimum`` is the completion slot (the engine's ``end_time``); the
     paper's latency ``P(A)`` is ``optimum - start_time + 1``.  ``advances``
     replay through :func:`repro.sim.broadcast.run_broadcast` unchanged —
-    the engines re-validate every one of them against the network model.
+    the kernel re-validates every one of them against the network model.
     """
 
     source: int

@@ -49,7 +49,7 @@ def solve_broadcast(
     overlap; ``covered`` generalises the initial state for callers resuming
     a partially covered broadcast (defaults to ``{source}``).  The returned
     :class:`~repro.solvers.branch_bound.SolverPlan` replays through the
-    engines unchanged.
+    broadcast kernel unchanged.
     """
     if backend not in SOLVER_BACKENDS:
         raise ValueError(

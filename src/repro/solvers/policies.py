@@ -2,7 +2,7 @@
 
 :class:`ExactPolicy` and :class:`BranchAndBoundPolicy` implement the
 standard :class:`~repro.core.policies.SchedulingPolicy` interface, so the
-optimal schedule runs **end-to-end through the simulation engines** — every
+optimal schedule runs **end-to-end through the broadcast kernel** — every
 advance of the plan is re-validated against the network model (coverage,
 wake-up slots, interference) exactly like any heuristic's, and the exact
 tiers slot into sweeps, figures and the store like any other policy.

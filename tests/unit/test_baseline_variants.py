@@ -53,8 +53,8 @@ class TestTreeParentMode:
 class TestBaselineStrength:
     def test_weak_baseline_is_never_faster(self, figure1, medium_deployment):
         """The literal BFS-tree baseline needs at least as many rounds as the
-        strong (set-cover) variant — quantifying the fidelity note of
-        EXPERIMENTS.md."""
+        strong (set-cover) variant — quantifying the greedy parent-cover note
+        of docs/architecture.md#documented-approximations."""
         for topo, source in (figure1, medium_deployment):
             strong = run_broadcast(topo, source, Approx26Policy(parent_mode="cover"))
             weak = run_broadcast(topo, source, Approx26Policy(parent_mode="tree"))

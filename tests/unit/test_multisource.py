@@ -11,12 +11,12 @@ from repro.core.policies import EModelPolicy, GreedyOptPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
 from repro.sim.broadcast import run_broadcast
-from repro.sim.engine import RoundEngine
+from repro.sim.engine import simulate
 from repro.sim.metrics import MultiBroadcastMetrics
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
 from repro.sim.validation import (
     ScheduleViolation,
-    assert_valid_multi,
+    assert_valid,
     validate_multi_broadcast,
 )
 
@@ -106,11 +106,11 @@ class TestRunMulti:
                 topology, [source, other], Approx17Policy(), schedule=schedule
             )
 
-    def test_engine_run_multi_directly(self, path5):
+    def test_simulate_directly(self, path5):
         policies = [EModelPolicy(), EModelPolicy()]
         for policy, source in zip(policies, (0, 4)):
             policy.prepare(path5, None, source)
-        result = RoundEngine(path5).run_multi(policies, (0, 4))
+        result = simulate(path5, policies, (0, 4))
         assert result.is_complete(path5)
 
     def test_duty_multi_aligns_to_earliest_source_slot(self, path5):
@@ -183,7 +183,7 @@ class TestMultiValidation:
     def test_engine_traces_validate(self, path5):
         result = run_broadcast(path5, [0, 4], EModelPolicy(), validate=False)
         assert validate_multi_broadcast(path5, result) == []
-        assert_valid_multi(path5, result)
+        assert_valid(path5, result)
 
     def test_overlapping_receivers_rejected(self, path5):
         # Both messages intend node 1 at t=1: individually valid, jointly not.
@@ -237,11 +237,11 @@ class TestMultiValidation:
         violations = validate_multi_broadcast(path5, result, require_complete=False)
         assert any("does not match" in violation for violation in violations)
 
-    def test_assert_valid_multi_raises_with_details(self, path5):
+    def test_assert_valid_raises_with_multi_source_details(self, path5):
         message = BroadcastResult(
             policy_name="manual", source=1, start_time=1, end_time=0,
             covered=frozenset({1}),
         )
         result = MultiBroadcastResult(sources=(0,), start_time=1, messages=(message,))
         with pytest.raises(ScheduleViolation, match="multi-source"):
-            assert_valid_multi(path5, result, require_complete=False)
+            assert_valid(path5, result, require_complete=False)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -94,6 +100,39 @@ class TestCli:
         assert csv_path.exists()
         assert "G-OPT" in csv_path.read_text()
         assert "Figure 3" in capsys.readouterr().out
+
+    def test_infeasible_grid_is_a_one_line_error(self):
+        # Two nodes over the paper's area never connect: every cell fails
+        # deployment, which must surface as a usage-style error naming the
+        # cell, not as a traceback.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments",
+             "--nodes", "2", "--repetitions", "1", "--system", "sync"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - started < 5.0
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith("error: cell system=sync rate=1 n=2 repetition=0 seed=")
+
+    def test_sweep_store_reports_cache_split(self, tmp_path, capsys):
+        argv = ["sweep", "--nodes", "50", "--repetitions", "1",
+                "--store", str(tmp_path / "store")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "store: 0 cells cached, 1 to simulate\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "store: 1 cells cached, 0 to simulate\n"
 
 
 class TestScenarioCli:
