@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import inspect
+
+import numpy as np
 import pytest
 
 from repro.baselines.approx26 import Approx26Policy
 from repro.core.policies import EModelPolicy
 from repro.core.time_counter import SearchConfig
-from repro.experiments.config import SweepConfig
-from repro.experiments.runner import default_policies, run_sweep
+from repro.experiments.config import QUICK_SWEEP, RATIO_SWEEP, SweepConfig
+from repro.experiments.runner import (
+    _prepare_cell,
+    default_policies,
+    run_sweep,
+    sweep_cells,
+)
+from repro.network.deployment import DeploymentConfig, DeploymentError, deploy_uniform
+from repro.utils.rng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +121,53 @@ class TestDefaultPolicies:
     def test_unknown_system(self, tiny_config):
         with pytest.raises(ValueError):
             default_policies(tiny_config, "bogus")
+
+
+class TestPrepareCell:
+    @pytest.mark.parametrize(
+        "sweep,num_nodes",
+        [("quick", n) for n in QUICK_SWEEP.node_counts]
+        + [("ratio", n) for n in RATIO_SWEEP.node_counts],
+    )
+    def test_uniform_cells_deploy_as_deploy_uniform(self, sweep, num_nodes):
+        """The scenario path reproduces the uniform deployments bit for bit."""
+        config = QUICK_SWEEP if sweep == "quick" else RATIO_SWEEP
+        for cell in sweep_cells(config, system="sync"):
+            if cell.num_nodes != num_nodes:
+                continue
+            setup = _prepare_cell(cell)
+            seed = derive_seed(
+                config.seed, cell.system, cell.rate, cell.num_nodes, cell.repetition
+            )
+            topology, source = deploy_uniform(
+                config=DeploymentConfig(
+                    num_nodes=num_nodes,
+                    area_side=config.area_side,
+                    radius=config.radius,
+                    source_min_ecc=config.source_min_ecc,
+                    source_max_ecc=config.source_max_ecc,
+                ),
+                seed=seed,
+            )
+            assert setup.seed == seed
+            assert setup.source == source
+            assert setup.topology.node_ids == topology.node_ids
+            np.testing.assert_array_equal(setup.topology.positions, topology.positions)
+
+    def test_single_source_cells_carry_a_one_element_tuple(self, tiny_config):
+        setup = _prepare_cell(sweep_cells(tiny_config, system="sync")[0])
+        assert setup.sources == (setup.source,)
+
+    def test_infeasible_cell_names_the_cell(self):
+        config = SweepConfig(node_counts=(2,), repetitions=1)
+        (cell,) = sweep_cells(config, system="duty", rate=5)
+        seed = derive_seed(config.seed, "duty", 5, 2, 0)
+        with pytest.raises(DeploymentError) as raised:
+            _prepare_cell(cell)
+        assert str(raised.value).startswith(
+            f"cell system=duty rate=5 n=2 repetition=0 seed={seed}: "
+        )
+        assert isinstance(raised.value.__cause__, DeploymentError)
+
+    def test_run_sweep_takes_no_progress_callback(self):
+        assert "progress" not in inspect.signature(run_sweep).parameters
