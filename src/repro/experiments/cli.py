@@ -52,26 +52,12 @@ proved bounds (exit code 1 if any ratio claim fails)::
     mlbs-experiments ratio
     mlbs-experiments ratio --system sync --solver branch-and-bound
 
-Distribute a sweep over a worker fleet with the ``fabric`` target: one
-coordinator leases the grid's missing cells out over HTTP, any number of
-workers (on any machine that can reach it) claim, simulate and post them
-back, and the records land in the shared store — bit-identical to a local
-run (see docs/fabric.md)::
-
-    mlbs-experiments fabric serve --store results/store --port 8765
-    mlbs-experiments fabric work --url http://127.0.0.1:8765
-    mlbs-experiments fabric status --url http://127.0.0.1:8765
-
-Watch any of it live: ``--trace`` makes a sweep (or a serving coordinator)
-append every telemetry event to a JSONL file, and the ``monitor`` target
-renders a refreshing dashboard from a store, a live trace file and/or a
-fabric coordinator URL (``--telemetry`` on ``fabric serve`` also exposes a
-``/metrics`` JSON endpoint — see docs/telemetry.md)::
+Watch a sweep live: ``--trace`` makes it append every telemetry event to a
+JSONL file, and the ``monitor`` target renders a refreshing dashboard from a
+store and/or a live trace file (see docs/telemetry.md)::
 
     mlbs-experiments sweep --store results/store --trace results/sweep.jsonl
     mlbs-experiments monitor --store results/store --trace results/sweep.jsonl
-    mlbs-experiments fabric serve --store results/store --telemetry
-    mlbs-experiments monitor --url http://127.0.0.1:8765
 
 Discover the registered workloads and solver tiers::
 
@@ -86,10 +72,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from repro.dutycycle.models import duty_model_names, list_duty_models
@@ -102,16 +86,7 @@ from repro.experiments.report import (
     store_summary_text,
     summary_claims,
 )
-from repro.experiments.runner import SweepResult, run_sweep, sweep_cells
-from repro.fabric import (
-    DEFAULT_LEASE_TTL,
-    FabricCoordinator,
-    FabricError,
-    FabricHTTPServer,
-    FabricWorker,
-    HttpTransport,
-    TransportError,
-)
+from repro.experiments.runner import SweepResult, run_sweep
 from repro.network.deployment import DeploymentError
 from repro.network.sources import placement_names
 from repro.obs import (
@@ -192,6 +167,17 @@ def _parse_sources(text: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_rate(text: str) -> int:
+    """Parse ``--rate 10``: a cycle rate is a whole number of slots >= 1."""
+    try:
+        rate = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if rate < 1:
+        raise argparse.ArgumentTypeError(f"the cycle rate must be >= 1, got {rate}")
+    return rate
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -216,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
             "ratio",
             "sweep",
             "store",
-            "fabric",
             "monitor",
             "all",
         ],
@@ -229,10 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
             "energy per policy); 'ratio' runs the approximation-ratio study "
             "(observed latency / exact optimum vs the proved bounds, exit "
             "code 1 if a ratio claim fails); 'store' manages a persistent "
-            "experiment store (see the 'action' positional); 'fabric' runs a "
-            "distributed sweep over a coordinator/worker fleet (see the "
-            "'action' positional and docs/fabric.md); 'monitor' renders a "
-            "refreshing dashboard from --store, --trace and/or --url (see "
+            "experiment store (see the 'action' positional); 'monitor' "
+            "renders a refreshing dashboard from --store and/or --trace (see "
             "docs/telemetry.md); 'all' covers the paper's figures, tables "
             "and claims"
         ),
@@ -241,15 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         nargs="?",
         default=None,
-        choices=["stats", "gc", "export", "serve", "work", "status"],
+        choices=["stats", "gc", "export"],
         help=(
-            "subcommand of the 'store' target — 'stats' summarises the cached "
+            "subcommand of the 'store' target: 'stats' summarises the cached "
             "cells, 'gc' prunes unreachable entries (dangling rows, orphan "
             "shards, old schema versions), 'export' dumps every cached record "
-            "(--format, --output) — or of the 'fabric' target: 'serve' runs "
-            "the coordinator for one sweep grid until every cell is in the "
-            "store, 'work' runs one worker against a coordinator --url, "
-            "'status' prints a coordinator's live status JSON"
+            "(--format, --output)"
         ),
     )
     parser.add_argument(
@@ -343,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rate",
-        type=int,
+        type=_parse_rate,
         default=10,
         help="cycle rate r for the 'sweep' and 'scenarios' targets (default: 10)",
     )
@@ -381,80 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write 'store export' to this file instead of stdout",
     )
     parser.add_argument(
-        "--url",
-        default=None,
-        metavar="URL",
-        help="coordinator base URL for 'fabric work' and 'fabric status'",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address of 'fabric serve' (default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="port of 'fabric serve' (default: 0 = pick a free port)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=DEFAULT_LEASE_TTL,
-        metavar="SECONDS",
-        help=(
-            "seconds before an unheartbeated fabric lease expires and its "
-            f"cell is requeued (default: {DEFAULT_LEASE_TTL:g})"
-        ),
-    )
-    parser.add_argument(
-        "--max-attempts",
-        type=int,
-        default=5,
-        metavar="N",
-        help=(
-            "fabric attempts per cell before it is quarantined as a poison "
-            "cell (default: 5)"
-        ),
-    )
-    parser.add_argument(
-        "--linger",
-        type=float,
-        default=3.0,
-        metavar="SECONDS",
-        help=(
-            "how long 'fabric serve' keeps answering after the grid is done, "
-            "so polling workers see a clean 'done' instead of a vanished "
-            "coordinator (default: 3)"
-        ),
-    )
-    parser.add_argument(
-        "--status-file",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "'fabric serve'/'fabric status': also write the coordinator "
-            "status JSON to this file"
-        ),
-    )
-    parser.add_argument(
         "--trace",
         type=Path,
         default=None,
         metavar="PATH",
         help=(
             "append every telemetry event as one JSON line to this file: "
-            "'sweep' and 'fabric serve' write it while they run, 'monitor' "
-            "follows it live (see docs/telemetry.md)"
-        ),
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help=(
-            "'fabric serve': also publish the coordinator's metrics registry "
-            "as a /metrics JSON endpoint"
+            "'sweep' writes it while it runs, 'monitor' follows it live (see "
+            "docs/telemetry.md)"
         ),
     )
     parser.add_argument(
@@ -473,12 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
             "render N 'monitor' frames and exit (default: refresh until "
             "interrupted)"
         ),
-    )
-    parser.add_argument(
-        "--worker-name",
-        default=None,
-        metavar="NAME",
-        help="worker identity reported by 'fabric work' (default: host-pid)",
     )
     parser.add_argument(
         "--solver",
@@ -569,119 +477,6 @@ def _emit(name: str, text: str, csv: str | None, csv_dir: Path | None) -> None:
         print(f"[wrote {path}]")
 
 
-def _write_status(status: dict, path: Path | None) -> None:
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(status, indent=2, sort_keys=True) + "\n")
-
-
-def _status_line(status: dict) -> str:
-    counts = status["counts"]
-    return (
-        f"fabric: {counts['completed']}/{status['total']} cells done "
-        f"(pending {counts['pending']}, leased {counts['leased']}, "
-        f"quarantined {counts['quarantined']}); "
-        f"{len(status['workers'])} worker(s) seen"
-    )
-
-
-def _run_fabric(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """The ``fabric serve|work|status`` actions (exit code as documented)."""
-    if args.action == "serve":
-        if args.store is None:
-            parser.error("'fabric serve' requires --store PATH (the shared store)")
-        config = _config_from_args(args)
-        cells = sweep_cells(config, system=args.system, rate=args.rate)
-        trace_sink = (
-            EVENT_BUS.attach(JsonlTraceSink(args.trace))
-            if args.trace is not None
-            else None
-        )
-        try:
-            with ExperimentStore(args.store) as store:
-                coordinator = FabricCoordinator(
-                    cells,
-                    store=store,
-                    resume=args.resume,
-                    lease_ttl=args.lease_ttl,
-                    max_attempts=args.max_attempts,
-                )
-                with FabricHTTPServer(
-                    coordinator,
-                    host=args.host,
-                    port=args.port,
-                    expose_metrics=args.telemetry,
-                ) as server:
-                    print(
-                        f"fabric serve: {server.url} ({len(cells)} cells)", flush=True
-                    )
-                    if args.telemetry:
-                        print(
-                            f"fabric serve: metrics at {server.url}/metrics",
-                            flush=True,
-                        )
-                    last = ""
-                    while True:
-                        coordinator.tick()
-                        status = coordinator.status()
-                        line = _status_line(status)
-                        if line != last:
-                            print(line, file=sys.stderr, flush=True)
-                            last = line
-                        counts = status["counts"]
-                        if counts["pending"] == 0 and counts["leased"] == 0:
-                            # Grace period: workers poll every couple of
-                            # seconds, so answering a little longer turns
-                            # their last claim into a clean "done" instead
-                            # of a dead socket.
-                            time.sleep(max(args.linger, 0.0))
-                            break
-                        time.sleep(0.2)
-                status = coordinator.status()
-                _write_status(status, args.status_file)
-                quarantined = coordinator.quarantined
-        finally:
-            if trace_sink is not None:
-                EVENT_BUS.detach(trace_sink)
-                trace_sink.close()
-                print(
-                    f"fabric serve: {trace_sink.written} events -> {args.trace}",
-                    file=sys.stderr,
-                    flush=True,
-                )
-        if quarantined:
-            for index, reason in sorted(quarantined.items()):
-                print(f"fabric: cell {index} quarantined: {reason}", file=sys.stderr)
-            return 1
-        print(_status_line(status), flush=True)
-        return 0
-
-    if args.url is None:
-        parser.error(f"'fabric {args.action}' requires --url (the coordinator)")
-    transport = HttpTransport(args.url)
-    try:
-        if args.action == "status":
-            status = transport.request("status", {})
-            _write_status(status, args.status_file)
-            print(json.dumps(status, indent=2, sort_keys=True))
-            return 0
-        name = args.worker_name or f"{os.uname().nodename}-{os.getpid()}"
-        worker = FabricWorker(transport, name=name)
-        stats = worker.run()
-        print(
-            f"fabric work: {name} completed {stats.completed} cell(s) "
-            f"({stats.claims} claims, {stats.duplicates} duplicates, "
-            f"{stats.rejected} rejected, {stats.abandoned} abandoned, "
-            f"{stats.transport_errors} transport errors)"
-        )
-        return 0
-    except (TransportError, FabricError) as error:
-        print(f"fabric {args.action}: {error}", file=sys.stderr)
-        return 1
-    finally:
-        transport.close()
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -722,7 +517,6 @@ def main(argv: list[str] | None = None) -> int:
         "reliability",
         "multisource",
         "ratio",
-        "fabric",
         "monitor",
     )
     if non_paper and args.target not in workload_targets:
@@ -752,38 +546,28 @@ def main(argv: list[str] | None = None) -> int:
             "of the 'multisource' target"
         )
 
-    store_actions = ("stats", "gc", "export")
-    fabric_actions = ("serve", "work", "status")
-    if args.action is not None and args.target not in ("store", "fabric"):
-        parser.error(
-            "the stats/gc/export action only applies to the 'store' target, "
-            "and serve/work/status to the 'fabric' target"
-        )
-    if args.target == "fabric":
-        if args.action not in fabric_actions:
-            parser.error(
-                "the 'fabric' target requires an action: serve, work or status"
-            )
-        return _run_fabric(args, parser)
+    if args.action is not None and args.target != "store":
+        parser.error("the stats/gc/export action only applies to the 'store' target")
     if args.target == "monitor":
-        if args.store is None and args.trace is None and args.url is None:
+        if args.store is None and args.trace is None:
             parser.error(
-                "the 'monitor' target needs at least one feed: --store PATH, "
-                "--trace PATH and/or --url URL"
+                "the 'monitor' target needs at least one feed: --store PATH "
+                "and/or --trace PATH"
             )
         monitor_store = open_store(args.store)
         try:
-            monitor = SweepMonitor(
-                store=monitor_store, trace=args.trace, url=args.url
-            )
+            monitor = SweepMonitor(store=monitor_store, trace=args.trace)
             return monitor.watch(interval=args.interval, frames=args.frames)
+        except ValueError as error:  # an undecodable trace line
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         finally:
             if monitor_store is not None:
                 monitor_store.close()
     if args.target == "store":
         if args.store is None:
             parser.error("the 'store' target requires --store PATH")
-        if args.action not in store_actions:
+        if args.action is None:
             parser.error("the 'store' target requires an action: stats, gc or export")
         with ExperimentStore(args.store) as target_store:
             if args.action == "stats":
@@ -833,7 +617,10 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as error:  # a value SweepConfig rejects is a usage error
+        parser.error(str(error))
     store = open_store(args.store)
 
     def _store_split(event: Event) -> None:

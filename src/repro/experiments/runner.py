@@ -505,10 +505,8 @@ def sweep_cells(
 ) -> list[SweepCell]:
     """The sweep's grid as independently executable cells, in serial order.
 
-    The cells (and the order) ``run_sweep`` runs for the same arguments —
-    the shared vocabulary between the runner and the fabric coordinator,
-    which partitions and leases this list to a worker fleet
-    (:mod:`repro.fabric`).
+    The cells (and the order) ``run_sweep`` runs for the same arguments;
+    each one is executed by ``_run_cell`` in-process or in a pool worker.
     """
     if system not in ("sync", "duty"):
         raise ValueError(f"unknown system {system!r}; expected 'sync' or 'duty'")
@@ -543,7 +541,6 @@ def run_sweep(
     workers: int | None = None,
     store: ExperimentStore | None = None,
     resume: bool = True,
-    fabric: object | None = None,
 ) -> SweepResult:
     """Run the full sweep and return the collected records.
 
@@ -576,17 +573,6 @@ def run_sweep(
     resume:
         Consult the store before dispatching (default).  ``False`` forces a
         full re-simulation that overwrites the cached cells.
-    fabric:
-        Optional fabric executor (:class:`repro.fabric.LocalFleet`, or any
-        object with the same ``execute(cells, store=...)`` method): the
-        missing cells are leased out to a coordinator/worker fleet instead
-        of the process pool, and the coordinator commits each cell to
-        ``store`` as it is validated.  Reassembly stays in serial cell
-        order, so the records are bit-identical to a pool (or in-process)
-        run for any fleet size, worker arrival order, or crash/retry
-        history — the fabric determinism contract (see ``docs/fabric.md``).
-        Requires the default policy line-up (custom factories cannot cross
-        the fabric wire).
     """
     effective_workers = _resolve_workers(
         config.workers if workers is None else workers
@@ -649,27 +635,7 @@ def run_sweep(
                 len(missing),
             )
         )
-    if missing and fabric is not None:
-        # Fabric mode: lease the missing cells out to a coordinator/worker
-        # fleet.  The coordinator validates and commits each cell into the
-        # store itself (idempotently, by digest), so the runner skips its
-        # own write-back and only reassembles in serial order.
-        if policies is not None:
-            raise ValueError(
-                "fabric execution requires the default policy line-up; "
-                "custom policy factories cannot cross the fabric wire"
-            )
-        batches = fabric.execute([cells[index] for index in missing], store=store)
-        for index, records in zip(missing, batches):
-            per_cell[index] = records
-            if EVENT_BUS.active:
-                cell = cells[index]
-                EVENT_BUS.emit(
-                    _events.CellFinished(
-                        index, cell.num_nodes, cell.repetition, len(records)
-                    )
-                )
-    elif missing:
+    if missing:
         pending = [cells[index] for index in missing]
         if effective_workers <= 1 or len(pending) <= 1:
             for index, cell in zip(missing, pending):

@@ -26,7 +26,6 @@ __all__ = [
     "conflict_free",
     "conflicting_pairs",
     "receivers_of",
-    "collision_victims",
 ]
 
 
@@ -91,28 +90,3 @@ def receivers_of(
         reached_mask |= topology.neighbor_mask(u)
     reached_mask &= ~topology.mask_from_nodes(covered)
     return topology.nodes_from_mask(reached_mask)
-
-
-def collision_victims(
-    topology: WSNTopology,
-    transmitters: Collection[int],
-    covered: frozenset[int] | set[int],
-) -> frozenset[int]:
-    """Uncovered nodes that would hear two or more of ``transmitters``.
-
-    Useful for diagnostics and for modelling what *would* happen if a
-    conflicting set were transmitted anyway (the victims receive garbage and
-    stay uncovered).
-    """
-    heard_once: set[int] = set()
-    heard_twice: set[int] = set()
-    covered = frozenset(covered)
-    for u in transmitters:
-        for v in topology.neighbors(u):
-            if v in covered:
-                continue
-            if v in heard_once:
-                heard_twice.add(v)
-            else:
-                heard_once.add(v)
-    return frozenset(heard_twice)

@@ -19,18 +19,13 @@ from repro.obs.bus import EVENT_BUS, EventBus, TelemetrySinkError
 from repro.obs.events import (
     EVENT_KINDS,
     CellFinished,
-    CellQuarantined,
     CellStarted,
     Event,
-    LeaseClaimed,
-    LeaseExpired,
-    LeaseFailed,
     StoreHit,
     StoreMiss,
     StorePut,
     SweepFinished,
     SweepStarted,
-    WorkerHeartbeat,
     event_from_json,
     event_to_json,
 )
@@ -68,11 +63,6 @@ __all__ = [
     "StoreHit",
     "StoreMiss",
     "StorePut",
-    "LeaseClaimed",
-    "LeaseExpired",
-    "LeaseFailed",
-    "CellQuarantined",
-    "WorkerHeartbeat",
     "event_to_json",
     "event_from_json",
     # sinks

@@ -1,7 +1,7 @@
 """The event bus: fan one event stream out to attached sinks, zero-cost off.
 
 One process-wide bus (:data:`EVENT_BUS`) carries every telemetry event of
-the instrumented layers — sweep runner, store, fabric.
+the instrumented layers — sweep runner and store.
 The design constraint is the **zero-cost-when-off contract**: with no sink
 attached, instrumented hot paths must not even *construct* events, let
 alone dispatch them.  Call sites therefore guard on the plain attribute
@@ -15,16 +15,15 @@ slot kernel, and gated below 5% end-to-end by
 ``benchmarks/test_telemetry_overhead.py``.
 
 Attach/detach rebuild an immutable sink tuple under a lock while ``emit``
-reads a snapshot, so emitting is safe from any thread (fabric coordinator
-executor threads, fleet worker threads) without taking a lock.  A sink that
-raises mid-emit aborts the run loudly, wrapped in :class:`TelemetrySinkError`
-naming the sink and the event — telemetry never drops data silently, and a
-broken sink is a bug to fix, not to paper over.
+reads a snapshot, so emitting is safe from any thread without taking a
+lock.  A sink that raises mid-emit aborts the run loudly, wrapped in
+:class:`TelemetrySinkError` naming the sink and the event — telemetry never
+drops data silently, and a broken sink is a bug to fix, not to paper over.
 
 Events are observation only: no instrumented code path reads the bus, so
 records stay bit-identical with any sink set attached (the property suite
-``tests/property/test_telemetry_determinism.py`` pins this across workers
-and fleets).
+``tests/property/test_telemetry_determinism.py`` pins this in-process and
+across pool workers).
 """
 
 from __future__ import annotations

@@ -33,11 +33,6 @@ __all__ = [
     "StoreHit",
     "StoreMiss",
     "StorePut",
-    "LeaseClaimed",
-    "LeaseExpired",
-    "LeaseFailed",
-    "CellQuarantined",
-    "WorkerHeartbeat",
     "EVENT_KINDS",
     "event_to_json",
     "event_from_json",
@@ -132,60 +127,6 @@ class StorePut(Event):
     records: int
 
 
-# -- fabric ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LeaseClaimed(Event):
-    """The lease queue granted a cell to a worker."""
-
-    kind: ClassVar[str] = "lease_claimed"
-    index: int
-    worker: str
-    lease_id: str
-
-
-@dataclass(frozen=True)
-class LeaseExpired(Event):
-    """A lease's deadline passed and its cell was requeued (or quarantined)."""
-
-    kind: ClassVar[str] = "lease_expired"
-    index: int
-    worker: str
-    attempts: int
-
-
-@dataclass(frozen=True)
-class LeaseFailed(Event):
-    """A live lease was failed explicitly (e.g. a rejected result)."""
-
-    kind: ClassVar[str] = "lease_failed"
-    index: int
-    worker: str
-    reason: str
-    attempts: int
-
-
-@dataclass(frozen=True)
-class CellQuarantined(Event):
-    """A cell spent its retry budget and left the rotation."""
-
-    kind: ClassVar[str] = "cell_quarantined"
-    index: int
-    reason: str
-    attempts: int
-
-
-@dataclass(frozen=True)
-class WorkerHeartbeat(Event):
-    """A fabric worker pinged its lease to keep it alive."""
-
-    kind: ClassVar[str] = "worker_heartbeat"
-    worker: str
-    lease_id: str
-    valid: bool
-
-
 #: ``kind`` string -> event class, for trace decoding and the docs table.
 EVENT_KINDS: dict[str, type[Event]] = {
     cls.kind: cls
@@ -197,11 +138,6 @@ EVENT_KINDS: dict[str, type[Event]] = {
         StoreHit,
         StoreMiss,
         StorePut,
-        LeaseClaimed,
-        LeaseExpired,
-        LeaseFailed,
-        CellQuarantined,
-        WorkerHeartbeat,
     )
 }
 
@@ -214,16 +150,19 @@ def event_to_json(event: Event) -> dict:
 def event_from_json(payload: dict) -> Event:
     """Rebuild a typed event from :func:`event_to_json` output.
 
-    Unknown keys beyond ``event`` and the sink-stamped ``ts`` are rejected
-    by the dataclass constructor, so a trace written by a different schema
-    fails loudly instead of decoding into the wrong shape.
+    An unknown kind, or keys beyond the kind's fields, ``event`` and the
+    sink-stamped ``ts``, raise :class:`ValueError`, so a trace written by a
+    different schema fails loudly instead of decoding into the wrong shape.
     """
     fields = dict(payload)
-    kind = fields.pop("event")
+    kind = fields.pop("event", None)
     fields.pop("ts", None)
     cls = EVENT_KINDS.get(kind)
     if cls is None:
         raise ValueError(
             f"unknown event kind {kind!r}; known kinds: {sorted(EVENT_KINDS)}"
         )
-    return cls(**fields)
+    try:
+        return cls(**fields)
+    except TypeError as error:
+        raise ValueError(f"malformed {kind!r} event: {error}") from None

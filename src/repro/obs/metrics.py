@@ -4,16 +4,14 @@ Two halves:
 
 * :class:`MetricsRegistry` — a named collection of :class:`Counter` /
   :class:`Gauge` / :class:`Histogram` instruments with a JSON-safe
-  ``snapshot()``.  This is what ``fabric serve --telemetry`` serves at
-  ``/metrics`` and what the live monitor renders.
+  ``snapshot()``.  This is what the live monitor renders.
 * :class:`MetricsSink` — an event sink (attachable to the
   :data:`~repro.obs.bus.EVENT_BUS`) folding the event taxonomy into a
-  registry: sweep throughput (cells/s), store cache hit rate, lease retry
-  counts, worker liveness.
+  registry: sweep throughput (cells/s) and store cache hit rate.
 
-Instrument mutations take the registry lock — metrics update at cell /
-lease granularity (tens per second), never per slot, so contention is
-irrelevant and correctness under fleet threads is free.
+Instrument mutations take the registry lock — metrics update at cell
+granularity (tens per second), never per slot, so contention is
+irrelevant and correctness under threads is free.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (queue depth, hit rate, oldest lease age)."""
+    """A point-in-time value (e.g. a hit rate or a throughput)."""
 
     __slots__ = ("name", "value", "_lock")
 
@@ -111,7 +109,7 @@ class MetricsRegistry:
 
     Instruments are created on first access (``counter``/``gauge``/
     ``histogram`` are get-or-create) and share one lock — mutation rates
-    are per-cell/per-lease, so a single lock is simpler than per-instrument
+    are per-cell, so a single lock is simpler than per-instrument
     ones and just as fast in practice.
     """
 
@@ -188,10 +186,7 @@ class MetricsSink(EventSink):
 
     * ``sweep.cells_per_s`` — finished cells over the wall time since the
       first :class:`~repro.obs.events.SweepStarted` (sweep throughput);
-    * ``store.hit_rate`` — hits / (hits + misses) of the store lookups seen;
-    * ``fabric.lease_retries`` — expiries + explicit failures (the retry
-      pressure on the queue);
-    * ``worker.<name>.last_seen_ts`` — heartbeat liveness per worker.
+    * ``store.hit_rate`` — hits / (hits + misses) of the store lookups seen.
     """
 
     def __init__(
@@ -230,18 +225,3 @@ class MetricsSink(EventSink):
             registry.gauge("store.hit_rate").set(hits / max(hits + misses, 1.0))
         elif isinstance(event, _events.StorePut):
             registry.counter("store.puts").inc()
-        elif isinstance(event, _events.LeaseClaimed):
-            registry.counter("fabric.lease_claims").inc()
-        elif isinstance(event, (_events.LeaseExpired, _events.LeaseFailed)):
-            registry.counter("fabric.lease_retries").inc()
-            key = (
-                "fabric.lease_expiries"
-                if isinstance(event, _events.LeaseExpired)
-                else "fabric.lease_failures"
-            )
-            registry.counter(key).inc()
-        elif isinstance(event, _events.CellQuarantined):
-            registry.counter("fabric.quarantined").inc()
-        elif isinstance(event, _events.WorkerHeartbeat):
-            registry.counter("fabric.heartbeats").inc()
-            registry.gauge(f"worker.{event.worker}.last_seen_ts").set(self._clock())

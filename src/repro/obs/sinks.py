@@ -69,8 +69,7 @@ class RingBufferSink(EventSink):
     """Keep the last ``capacity`` events in memory with arrival timestamps.
 
     ``deque(maxlen=...)`` appends are atomic under the GIL, so the ring is
-    safe to feed from many threads (fleet workers, coordinator executors)
-    without a lock on the hot path.
+    safe to feed from many threads without a lock on the hot path.
     """
 
     def __init__(self, capacity: int = 65536) -> None:
@@ -148,16 +147,22 @@ def read_trace(path: Path | str) -> Iterator[dict]:
     monitors can fold without reconstructing dataclasses; a trailing
     partial line (a writer mid-append) is skipped, not an error.
     """
+    for _, payload in _numbered_trace(path):
+        yield payload
+
+
+def _numbered_trace(path: Path | str) -> Iterator[tuple[int, dict]]:
+    """:func:`read_trace` with each object's 1-based line number."""
     path = Path(path)
     if not path.is_file():
         return
     with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                yield number, json.loads(line)
             except json.JSONDecodeError:
                 return  # torn tail: the writer is mid-line
 

@@ -15,11 +15,12 @@ crash-safe: the shard is written with temp-file + ``os.replace`` *before*
 its index row is committed, so a reader either sees a complete cell or no
 cell — never a torn one.  Within one process the store is thread-safe: a
 single sqlite connection guarded by an :class:`threading.RLock` serialises
-index access, which is what lets the fabric coordinator commit results from
-its server's executor threads while ``status`` reads run concurrently.
-Across processes, sqlite's file locking (with a generous busy timeout)
-arbitrates — concurrent committers of the *same* digest are idempotent by
-construction, since the digest addresses the content.
+index access, so threads sharing one store object never interleave a
+commit.  Across processes — a monitor reading the store while a sweep
+fills it, or a second sweep process writing the same store — sqlite's file
+locking (with a generous busy timeout) arbitrates; concurrent committers of
+the *same* digest are idempotent by construction, since the digest
+addresses the content.
 
 ``get``/``put`` are the cache interface the sweep runner uses;
 :meth:`ExperimentStore.stats`, :meth:`ExperimentStore.gc`,
@@ -163,9 +164,8 @@ class ExperimentStore:
             get_store_backend(backend) if isinstance(backend, str) else backend
         )
         self.root.mkdir(parents=True, exist_ok=True)
-        # One connection shared across threads, serialised by ``_lock``:
-        # the fabric coordinator commits from its HTTP server's executor
-        # threads while status/query reads come from the serve loop.
+        # One connection shared across threads, serialised by ``_lock``, so
+        # a caller may commit from one thread while another reads.
         self._connection = sqlite3.connect(
             self.root / _INDEX_NAME, timeout=30.0, check_same_thread=False
         )
@@ -319,10 +319,9 @@ class ExperimentStore:
         again — the digest embeds the version), and leftover temp files.
 
         Dot-prefixed temp files younger than the reap age are a concurrent
-        writer's live atomic write (a sweep or a fabric coordinator mid
-        commit): they are *reported* in
-        :attr:`GcStats.in_flight_temp_files` but never deleted, so gc is
-        safe to run alongside a live fleet.
+        writer's live atomic write (another sweep process mid commit): they
+        are *reported* in :attr:`GcStats.in_flight_temp_files` but never
+        deleted, so gc is safe to run alongside a live sweep.
         """
         with self._lock:
             stale = self._connection.execute(

@@ -13,7 +13,6 @@ experiment sweeps) accepts an integer seed and derives its own independent
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 
@@ -63,10 +62,3 @@ def spawn_seeds(base_seed: int, count: int, *path: object) -> list[int]:
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     return [derive_seed(base_seed, *path, index) for index in range(count)]
-
-
-def shuffled(items: Iterable, rng: np.random.Generator) -> list:
-    """Return a new list with ``items`` in a randomly permuted order."""
-    result = list(items)
-    rng.shuffle(result)
-    return result

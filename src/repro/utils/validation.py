@@ -7,8 +7,6 @@ simulation pipelines where a bad parameter should fail loudly and early.
 
 from __future__ import annotations
 
-from typing import Any
-
 __all__ = [
     "require",
     "check_positive",
@@ -51,14 +49,5 @@ def check_loss_probability(name: str, value: float) -> float:
     if not 0.0 <= value < 1.0:
         raise ValueError(
             f"{name} must be in [0, 1) (at 1 no delivery ever succeeds), got {value!r}"
-        )
-    return value
-
-
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
-    """Validate that ``value`` is an instance of ``expected`` and return it."""
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be an instance of {expected!r}, got {type(value)!r}"
         )
     return value

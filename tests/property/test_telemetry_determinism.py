@@ -3,7 +3,7 @@
 The telemetry contract (docs/telemetry.md): attaching any sink set to the
 event bus changes *nothing* about a sweep's output — records are byte-equal
 with no sink, a ring buffer, a jsonl trace, or the full metrics fold, for
-in-process, pool and threaded fleet execution.  Events carry no RNG state
+in-process and pool execution.  Events carry no RNG state
 and no instrumented code path reads the bus, so the only way this property
 can break is an instrumentation bug; this suite is the tripwire.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from repro.experiments.config import SearchConfig, SweepConfig
 from repro.experiments.runner import SweepResult, run_sweep
-from repro.fabric import LocalFleet
 from repro.obs.bus import EVENT_BUS
 from repro.obs.metrics import MetricsSink
 from repro.obs.sinks import JsonlTraceSink, RingBufferSink, read_trace
@@ -86,18 +85,6 @@ def test_pool_workers_stay_byte_identical_under_telemetry():
     assert observed.records == bare.records
     assert _csv(observed) == _csv(bare)
     assert ring.counts().get("cell_finished") == 4
-
-
-def test_threaded_fleet_stays_byte_identical_under_telemetry():
-    bare = _sweep()
-    ring = RingBufferSink()
-    with EVENT_BUS.attached(ring):
-        fleet = _sweep(fabric=LocalFleet(workers=2))
-    assert fleet.records == bare.records
-    assert _csv(fleet) == _csv(bare)
-    kinds = ring.counts()
-    assert kinds.get("lease_claimed", 0) >= 4  # the fleet path was observed
-    assert kinds.get("cell_finished") == 4
 
 
 def test_trace_replays_into_the_same_metrics_as_live_folding(tmp_path):

@@ -1,4 +1,4 @@
-"""CLI surface of the telemetry spine: --trace, --telemetry and 'monitor'."""
+"""CLI surface of the telemetry spine: --trace and 'monitor'."""
 
 from __future__ import annotations
 
@@ -23,11 +23,8 @@ def quiet_bus():
 
 class TestParser:
     def test_telemetry_flags_parse(self, tmp_path):
-        args = build_parser().parse_args(
-            ["sweep", "--trace", str(tmp_path / "t.jsonl"), "--telemetry"]
-        )
+        args = build_parser().parse_args(["sweep", "--trace", str(tmp_path / "t.jsonl")])
         assert args.trace == tmp_path / "t.jsonl"
-        assert args.telemetry is True
 
     def test_monitor_flags_parse(self, tmp_path):
         args = build_parser().parse_args(
@@ -97,3 +94,22 @@ class TestMonitorTarget:
         assert "repro monitor" in frame
         assert "store ·" in frame and "1 cells" in frame
         assert "trace ·" in frame and "1/1 cells" in frame
+
+    def test_undecodable_trace_is_a_one_line_error(self, tmp_path, capsys):
+        # A trace from another schema (here: an event kind this version does
+        # not know) fails loudly, but as one line naming file, line and kind.
+        trace = tmp_path / "old.jsonl"
+        trace.write_text(
+            '{"event": "cell_finished", "index": 0, "num_nodes": 50, '
+            '"repetition": 0, "records": 4, "ts": 1.0}\n'
+            '{"event": "bogus_kind", "ts": 2.0}\n'
+        )
+        assert main(
+            ["monitor", "--trace", str(trace), "--frames", "1", "--interval", "0"]
+        ) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(
+            f"error: {trace}, line 2: unknown event kind 'bogus_kind'"
+        )

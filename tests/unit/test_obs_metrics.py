@@ -58,11 +58,11 @@ class TestMetricsRegistry:
 
     def test_a_name_carries_one_instrument_type(self):
         registry = MetricsRegistry()
-        registry.counter("fabric.lease_retries")
+        registry.counter("store.hits")
         with pytest.raises(ValueError, match="already registered as a counter"):
-            registry.gauge("fabric.lease_retries")
+            registry.gauge("store.hits")
         with pytest.raises(ValueError, match="already registered as a counter"):
-            registry.histogram("fabric.lease_retries")
+            registry.histogram("store.hits")
 
     def test_snapshot_is_json_safe_and_sorted(self):
         registry = MetricsRegistry()
@@ -120,30 +120,6 @@ class TestMetricsSink:
         assert snapshot["counters"]["store.misses"] == 1
         assert snapshot["counters"]["store.puts"] == 1
         assert snapshot["gauges"]["store.hit_rate"] == pytest.approx(2 / 3)
-
-    def test_lease_retry_pressure(self):
-        snapshot = self._fold(
-            MetricsSink(),
-            events.LeaseClaimed(0, "w1", "lease-1"),
-            events.LeaseExpired(0, "w1", 1),
-            events.LeaseFailed(0, "w2", "bad digest", 2),
-            events.CellQuarantined(0, "bad digest — attempt 5/5", 5),
-        )
-        assert snapshot["counters"]["fabric.lease_claims"] == 1
-        assert snapshot["counters"]["fabric.lease_retries"] == 2
-        assert snapshot["counters"]["fabric.lease_expiries"] == 1
-        assert snapshot["counters"]["fabric.lease_failures"] == 1
-        assert snapshot["counters"]["fabric.quarantined"] == 1
-
-    def test_worker_liveness_gauges(self):
-        now = [50.0]
-        sink = MetricsSink(clock=lambda: now[0])
-        sink.consume(events.WorkerHeartbeat("w1", "lease-1", True))
-        now[0] = 60.0
-        sink.consume(events.WorkerHeartbeat("w2", "lease-2", True))
-        gauges = sink.registry.snapshot()["gauges"]
-        assert gauges["worker.w1.last_seen_ts"] == 50.0
-        assert gauges["worker.w2.last_seen_ts"] == 60.0
 
     def test_every_kind_lands_in_an_events_counter(self):
         sink = MetricsSink()

@@ -186,6 +186,8 @@ class TestRatioCli:
         with pytest.raises(SystemExit):
             cli_main(["figure3", "--solver", "exact"])
 
-    def test_ratio_rejects_oversized_grids(self):
-        with pytest.raises(ValueError, match="at most 16 nodes"):
+    def test_ratio_rejects_oversized_grids(self, capsys):
+        with pytest.raises(SystemExit) as exited:
             cli_main(["ratio", "--nodes", "100"])
+        assert exited.value.code == 2
+        assert "at most 16 nodes" in capsys.readouterr().err

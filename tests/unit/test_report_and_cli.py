@@ -191,6 +191,33 @@ class TestScenarioCli:
         assert "policy,system,rate,scenario,duty_model" in output
         assert ",ring,two-tier," in output
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--nodes", "0"],
+            ["sweep", "--repetitions", "0"],
+            ["ratio", "--repetitions", "0"],
+            ["reliability", "--repetitions", "0"],
+            ["claims", "--workers", "-2"],
+            ["sweep", "--nodes", "50", "--sources", "500"],
+            ["sweep", "--nodes", "50", "--solver", "exact"],
+            ["sweep", "--rate", "0"],
+            ["fabric", "serve"],
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_sweep_values_are_one_line_usage_errors(self, capsys, argv):
+        # Rejected before any simulation: exit 2 and a single error line,
+        # never a ValueError traceback from SweepConfig or the duty models.
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+        assert errors[0].startswith("mlbs-experiments: error: ")
+
     @pytest.mark.parametrize("knob", [["--engine", "vectorized"], ["--batch", "4"], ["--profile"]])
     def test_removed_engine_knobs_are_usage_errors(self, capsys, knob):
         with pytest.raises(SystemExit) as exited:

@@ -1,9 +1,9 @@
 """Concurrent-writer safety of the experiment store.
 
-The fabric coordinator commits results from its HTTP server's executor
-threads while status reads and the serve loop touch the same store, so the
-store must tolerate concurrent ``put``/``get``/``stats`` on one shared
-connection — and ``gc`` must *report*, not delete, another writer's
+A store object may be shared by threads, and a store directory by
+processes (a monitor reading while a sweep fills it, or two sweeps writing
+it), so the store must tolerate concurrent ``put``/``get``/``stats`` on one
+shared connection — and ``gc`` must *report*, not delete, another writer's
 in-flight atomic-write temp files.
 """
 
@@ -83,8 +83,8 @@ class TestConcurrentCommitters:
     def test_same_digest_from_two_threads_is_idempotent(
         self, tmp_path, cells_with_records
     ):
-        """The fabric's duplicate-commit case: both writers race the *same*
-        cell; content addressing makes the second commit a no-op rewrite."""
+        """The duplicate-commit case: both writers race the *same* cell;
+        content addressing makes the second commit a no-op rewrite."""
         store = ExperimentStore(tmp_path / "store")
         cell, records = cells_with_records[0]
         key = _key_for(cell)
