@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.dutycycle.models import (
+    DUTY_MODELS,
+    DutyModelSpec,
     assign_rates,
     build_wakeup_schedule,
     duty_model_names,
     get_duty_model,
     list_duty_models,
+    register_duty_model,
 )
 from repro.dutycycle.schedule import WakeupSchedule
 
@@ -63,6 +66,80 @@ class TestAssignments:
         rates = assign_rates("zipf", NODES, 10, seed=2, max_factor=3.0)
         assert max(rates.values()) <= 30
         assert min(rates.values()) == 10  # factor 1 keeps the base rate
+
+
+class TestModelParameters:
+    @pytest.mark.parametrize(
+        "model, params, message",
+        [
+            ("two-tier", {"fast_fraction": -0.1}, r"fast_fraction must be in \[0, 1\]"),
+            ("two-tier", {"fast_fraction": 1.5}, r"fast_fraction must be in \[0, 1\]"),
+            ("two-tier", {"fast_factor": 0.0}, r"fast_factor must be in \(0, 1\]"),
+            ("two-tier", {"fast_factor": 1.5}, r"fast_factor must be in \(0, 1\]"),
+            ("zipf", {"exponent": 1.0}, "exponent must be > 1"),
+            ("zipf", {"max_factor": 0.5}, "max_factor must be >= 1"),
+        ],
+        ids=["fraction-low", "fraction-high", "factor-zero", "factor-high",
+             "zipf-exponent", "zipf-cap"],
+    )
+    def test_out_of_range_parameters_rejected(self, model, params, message):
+        with pytest.raises(ValueError, match=message):
+            assign_rates(model, NODES, 10, seed=0, **params)
+
+    @pytest.mark.parametrize("model", ["uniform", "two-tier", "zipf"])
+    def test_base_rate_below_one_rejected(self, model):
+        with pytest.raises(ValueError, match="base rate must be >= 1, got 0"):
+            assign_rates(model, NODES, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "params, expected",
+        [
+            ({"fast_fraction": 0.0}, {10}),
+            ({"fast_fraction": 1.0}, {2}),
+            ({"fast_fraction": 0.5, "fast_factor": 1.0}, {10}),
+            ({"fast_fraction": 1.0, "fast_factor": 0.01}, {1}),
+        ],
+        ids=["no-backbone", "all-backbone", "factor-one", "rate-floor"],
+    )
+    def test_two_tier_edge_parameters(self, params, expected):
+        assert set(assign_rates("two-tier", NODES, 10, seed=0, **params).values()) == expected
+
+    def test_node_ids_are_deduplicated(self):
+        rates = assign_rates("zipf", [3, 1, 3, 2, 1], 10, seed=0)
+        assert sorted(rates) == [1, 2, 3]
+
+
+class TestModelContract:
+    """Third-party models are checked, not trusted."""
+
+    @pytest.fixture
+    def register(self, monkeypatch):
+        def _register(name, assign):
+            monkeypatch.setitem(
+                DUTY_MODELS, name, DutyModelSpec(name=name, summary="test", assign=assign)
+            )
+        return _register
+
+    def test_duplicate_name_rejected(self):
+        spec = get_duty_model("uniform")
+        with pytest.raises(ValueError, match="'uniform' is already registered"):
+            register_duty_model(spec)
+        assert DUTY_MODELS["uniform"] is spec
+
+    def test_model_must_rate_every_node(self, register):
+        register("partial", lambda ids, base, rng: {u: base for u in ids[1:]})
+        with pytest.raises(ValueError, match="'partial' must assign a rate to every node"):
+            assign_rates("partial", NODES, 10, seed=0)
+
+    def test_model_must_not_produce_rates_below_one(self, register):
+        register("stalled", lambda ids, base, rng: {u: 0 for u in ids})
+        with pytest.raises(ValueError, match="'stalled' produced a rate < 1"):
+            assign_rates("stalled", NODES, 10, seed=0)
+
+    def test_registered_model_is_usable_by_name(self, register):
+        register("halved", lambda ids, base, rng: {u: max(1, base // 2) for u in ids})
+        assert "halved" in duty_model_names()
+        assert set(assign_rates("halved", NODES, 10, seed=0).values()) == {5}
 
 
 class TestScheduleRates:

@@ -13,6 +13,7 @@ from repro.scenarios import (
     list_scenarios,
     scenario_names,
 )
+from repro.scenarios.generators import build_clustered, build_grid_holes
 
 REQUIRED = {
     "uniform",
@@ -81,6 +82,36 @@ class TestEveryScenario:
         b = generate_scenario(name, self.CONFIG, seed=1)
         assert not np.array_equal(a.topology.positions, b.topology.positions)
 
+    def test_positions_inside_the_area(self, name):
+        deployment = generate_scenario(name, self.CONFIG, seed=4)
+        positions = deployment.topology.positions
+        assert positions.shape == (self.CONFIG.num_nodes, 2)
+        assert positions.min() >= 0.0
+        assert positions.max() <= self.CONFIG.area_side
+
+    def test_links_follow_the_scenario_link_model(self, name):
+        deployment = generate_scenario(name, self.CONFIG, seed=6)
+        topology = deployment.topology
+        positions = topology.positions
+        index = {u: i for i, u in enumerate(topology.node_ids)}
+        distance = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
+        if name == "knn":
+            # Proximity links: each node keeps at least its k nearest nodes.
+            k = get_scenario(name).defaults["k"]
+            for u in topology.node_ids:
+                order = np.argsort(distance[index[u]], kind="stable")[1 : k + 1]
+                nearest = {topology.node_ids[i] for i in order}
+                assert nearest <= topology.neighbors(u)
+        else:
+            # Unit-disc links: exactly the pairs within the radius.
+            radius = self.CONFIG.radius
+            for u in topology.node_ids:
+                within = {
+                    v for v in topology.node_ids
+                    if v != u and distance[index[u], index[v]] <= radius
+                }
+                assert topology.neighbors(u) == within
+
     def test_source_respects_eccentricity_window(self, name):
         deployment = generate_scenario(name, self.CONFIG, seed=3)
         ecc = deployment.topology.eccentricity(deployment.source)
@@ -135,6 +166,36 @@ class TestScenarioGeometry:
         )
         assert deployment.topology.num_nodes == 70
 
+    def test_grid_holes_leave_the_voids_empty(self):
+        # The hole centres are the builder's first draw, so a generator on
+        # the same seed recovers them.
+        config = DeploymentConfig(num_nodes=70)
+        hole_radius = 0.14 * config.area_side
+        topology = build_grid_holes(
+            config, np.random.default_rng(8), holes=3, hole_radius=0.14
+        )
+        centers = np.random.default_rng(8).uniform(
+            hole_radius, config.area_side - hole_radius, size=(3, 2)
+        )
+        gaps = np.linalg.norm(
+            topology.positions[:, None, :] - centers[None, :, :], axis=2
+        )
+        assert topology.num_nodes == 70
+        assert gaps.min() >= hole_radius
+
+    def test_clustered_nodes_gather_around_the_centres(self):
+        config = DeploymentConfig(num_nodes=120)
+        topology = build_clustered(
+            config, np.random.default_rng(3), clusters=1, spread=0.05, margin=0.4
+        )
+        # One cluster: a margin of 0.4 puts the centre in the middle fifth of
+        # the square, and a spread of 0.05 * side keeps every node within
+        # 5 sigma of it on each axis.
+        centre = topology.positions.mean(axis=0)
+        assert np.all(np.abs(centre - config.area_side / 2) <= 0.1 * config.area_side + 1.0)
+        radii = np.linalg.norm(topology.positions - centre, axis=1)
+        assert radii.max() <= 5 * 0.05 * config.area_side * np.sqrt(2)
+
     def test_explicit_source_window_override(self):
         deployment = generate_scenario(
             "clustered", num_nodes=60, seed=7, source_min_ecc=1, source_max_ecc=None
@@ -146,3 +207,58 @@ class TestScenarioGeometry:
         deployment = generate_scenario("uniform", config, seed=1)
         ecc = deployment.topology.eccentricity(deployment.source)
         assert 5 <= ecc <= 8
+
+
+_BAD_PARAMETERS = [
+    ("clustered", {"clusters": 0}, "clusters must be >= 1"),
+    ("clustered", {"spread": 0.0}, "spread must be positive"),
+    ("clustered", {"margin": 0.5}, r"margin must be in \[0, 0.5\)"),
+    ("clustered", {"margin": -0.1}, r"margin must be in \[0, 0.5\)"),
+    ("corridor", {"width": 0.0}, r"width must be in \(0, 1\]"),
+    ("corridor", {"width": 1.5}, r"width must be in \(0, 1\]"),
+    ("ring", {"inner": 0.0}, "need 0 < inner < outer <= 1"),
+    ("ring", {"inner": 0.9, "outer": 0.5}, "need 0 < inner < outer <= 1"),
+    ("ring", {"outer": 1.2}, "need 0 < inner < outer <= 1"),
+    ("perturbed-grid", {"jitter": -0.1}, r"jitter must be in \[0, 0.5\]"),
+    ("perturbed-grid", {"jitter": 0.6}, r"jitter must be in \[0, 0.5\]"),
+    ("grid-holes", {"holes": -1}, "holes must be >= 0"),
+    ("grid-holes", {"hole_radius": 0.0}, r"hole_radius must be in \(0, 0.5\)"),
+    ("grid-holes", {"hole_radius": 0.5}, r"hole_radius must be in \(0, 0.5\)"),
+    ("grid-holes", {"jitter": 0.7}, r"jitter must be in \[0, 0.5\]"),
+    ("knn", {"k": 0}, "k must be >= 1"),
+    ("knn", {"k": 30}, "k must be < num_nodes, got k=30, num_nodes=30"),
+]
+
+_EDGE_PARAMETERS = [
+    ("corridor", {"width": 1.0}),
+    ("perturbed-grid", {"jitter": 0.5}),
+    ("grid-holes", {"holes": 0}),
+    ("knn", {"k": 29}),
+]
+
+
+def _case_id(name, params):
+    return name + "-" + ",".join(f"{key}={value}" for key, value in params.items())
+
+
+class TestBuilderParameters:
+    """Each builder checks its own parameters before drawing a position."""
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        _BAD_PARAMETERS,
+        ids=[_case_id(name, params) for name, params, _ in _BAD_PARAMETERS],
+    )
+    def test_out_of_range_parameters_rejected(self, name, params, message):
+        with pytest.raises(ValueError, match=message):
+            generate_scenario(name, num_nodes=30, seed=0, **params)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        _EDGE_PARAMETERS,
+        ids=[_case_id(name, params) for name, params in _EDGE_PARAMETERS],
+    )
+    def test_boundary_parameters_accepted(self, name, params):
+        builder = get_scenario(name).builder
+        topology = builder(DeploymentConfig(num_nodes=30), np.random.default_rng(0), **params)
+        assert topology.num_nodes == 30

@@ -20,6 +20,7 @@ from repro.store import (
     cell_key_for,
     get_store_backend,
     open_store,
+    query_records,
     store_backend_names,
 )
 
@@ -320,3 +321,62 @@ class TestQuery:
     def test_unknown_filter_rejected(self, populated):
         with pytest.raises(ValueError, match="unknown query filters"):
             populated.query(flavour="spicy")
+
+    @pytest.mark.parametrize(
+        "column, miss",
+        [
+            ("system", "sync"),
+            ("rate", 20),
+            ("scenario", "ring"),
+            ("duty_model", "zipf"),
+            ("link_model", "independent-loss"),
+            ("loss_probability", 0.5),
+            ("n_sources", 3),
+            ("source_placement", "corner"),
+            ("seed", -1),
+            ("schema_version", STORE_SCHEMA_VERSION + 1),
+        ],
+    )
+    def test_each_index_column_filters_cells(self, populated, config, column, miss):
+        cell_columns = {"system": "duty", "rate": 10, "schema_version": STORE_SCHEMA_VERSION}
+        hit = cell_columns.get(column, getattr(config, column, None))
+        assert len(populated.query(**{column: hit}).records) == 8
+        with pytest.raises(LookupError, match=f"{column}={miss!r}"):
+            populated.query(**{column: miss})
+
+    def test_repetition_filter_keeps_the_grid_shape_of_the_matches(self, populated):
+        result = populated.query(repetition=1)
+        assert [(r.num_nodes, r.repetition) for r in result.records] == [
+            (16, 1), (16, 1), (24, 1), (24, 1)
+        ]
+        # The reconstructed grid runs up to the largest matched repetition.
+        assert result.config.repetitions == 2
+        assert result.config.node_counts == (16, 24)
+
+    def test_query_spanning_both_system_models_is_refused(self, populated, config):
+        populated.put(
+            _key(config, system="sync", rate=1),
+            [_record(system="sync", rate=1, policy="26-approx")],
+        )
+        with pytest.raises(ValueError, match="both system models"):
+            populated.query()
+        sync = populated.query(system="sync")
+        assert sync.system == "sync"
+        assert sync.rate == 1
+        assert [r.policy for r in sync.records] == ["26-approx"]
+
+    def test_query_over_several_rates_reports_the_largest(self, populated, config):
+        populated.put(_key(config, rate=20), [_record(rate=20)])
+        result = populated.query(num_nodes=16, repetition=0)
+        assert result.rate == 20
+        assert sorted({r.rate for r in result.records}) == [10, 20]
+        assert populated.query(num_nodes=16, repetition=0, rate=10).rate == 10
+
+    def test_policy_miss_lists_the_cached_policies(self, populated):
+        with pytest.raises(LookupError, match=r"cached policies: \['17-approx', 'E-model'\]"):
+            populated.query(num_nodes=16, policy="G-OPT")
+
+    def test_query_records_is_the_store_method(self, populated):
+        direct = query_records(populated, num_nodes=24, policy="17-approx")
+        assert direct == populated.query(num_nodes=24, policy="17-approx")
+        assert [r.policy for r in direct.records] == ["17-approx", "17-approx"]
