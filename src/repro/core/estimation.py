@@ -24,7 +24,8 @@ Because the quadrant successor relation is strictly monotone in one
 coordinate (``Q_1`` neighbours have strictly larger x, ``Q_2`` strictly
 larger y, ...), each relaxation is a single sweep over the nodes in sorted
 coordinate order — O(n log n + m) per quadrant, and O(1) information
-exchanges per node as Theorem 3 requires.
+exchanges per node as Theorem 3 requires.  The quadrant members come from
+the topology's :func:`~repro.network.quadrant.quadrant_table`.
 """
 
 from __future__ import annotations
@@ -33,23 +34,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Mapping
 
+import numpy as np
+
 from repro.dutycycle.cwt import expected_cwt
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.boundary import boundary_nodes
-from repro.network.quadrant import QUADRANTS, quadrant_neighbors
+from repro.network.quadrant import QUADRANTS, quadrant_table
 from repro.network.topology import WSNTopology
 
 __all__ = ["EdgeEstimate", "build_edge_estimate"]
 
 
-#: Sort key per quadrant guaranteeing that every quadrant-i neighbour of a
-#: node is processed before the node itself (see module docstring).
-_SWEEP_ORDER: dict[int, Callable[[WSNTopology, int], float]] = {
-    1: lambda topo, u: -topo.position(u)[0],  # descending x
-    2: lambda topo, u: -topo.position(u)[1],  # descending y
-    3: lambda topo, u: topo.position(u)[0],  # ascending x
-    4: lambda topo, u: topo.position(u)[1],  # ascending y
-}
+#: Sweep key per quadrant — (coordinate, sign) — guaranteeing that every
+#: quadrant-i neighbour of a node is processed before the node itself (see
+#: module docstring): descending x, descending y, ascending x, ascending y.
+_SWEEP_ORDER: dict[int, tuple[int, float]] = {1: (0, -1.0), 2: (1, -1.0), 3: (0, 1.0), 4: (1, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -90,13 +89,7 @@ class EdgeEstimate:
         neighbours (``N(u) ∩ Q_k(u) ∩ W̄ ≠ ∅``); with no such quadrant the
         node contributes ``-inf`` (it cannot be the bottleneck).
         """
-        covered = frozenset(covered)
-        best = -math.inf
-        for quadrant in QUADRANTS:
-            members = quadrant_neighbors(topology, node_id, quadrant)
-            if members - covered:
-                best = max(best, self.value(node_id, quadrant))
-        return best
+        return self.color_score(topology, (node_id,), covered)
 
     def color_score(
         self,
@@ -105,8 +98,22 @@ class EdgeEstimate:
         covered: frozenset[int] | set[int],
     ) -> float:
         """The colour's Eq.-(10) score: the max node score over its members."""
-        scores = [self.node_score(topology, u, covered) for u in color]
-        return max(scores, default=-math.inf)
+        uncovered = topology.full_mask & ~topology.mask_from_nodes(covered)
+        return self.color_score_mask(topology, topology.mask_from_nodes(color), uncovered)
+
+    def color_score_mask(self, topology: WSNTopology, color: int, uncovered: int) -> float:
+        """:meth:`color_score` for a colour and an uncovered set given as masks."""
+        quadrants = quadrant_table(topology).masks
+        ids = topology.node_ids
+        best = -math.inf
+        while color:
+            low = color & -color
+            color ^= low
+            index = low.bit_length() - 1
+            for members, value in zip(quadrants[index], self.values[ids[index]]):
+                if members & uncovered and value > best:
+                    best = value
+        return best
 
 
 def _edge_weight(
@@ -150,14 +157,22 @@ def build_edge_estimate(
     estimates: dict[int, list[float]] = {
         u: [math.inf] * 4 for u in topology.node_ids
     }
+    neighbors = quadrant_table(topology).members
+    ids = topology.node_ids
+    positions = topology.positions.reshape(len(ids), 2)
+    # Stable sorts, so ties keep node-id order.
+    sweeps = {
+        quadrant: [ids[i] for i in np.argsort(sign * positions[:, axis], kind="stable")]
+        for quadrant, (axis, sign) in _SWEEP_ORDER.items()
+    }
     updates = 0
 
     def seed(eligible: Callable[[int], bool]) -> int:
         count = 0
-        for u in topology.node_ids:
+        for u in ids:
             for quadrant in QUADRANTS:
                 if math.isinf(estimates[u][quadrant - 1]) and eligible(u):
-                    if not quadrant_neighbors(topology, u, quadrant):
+                    if not neighbors[u][quadrant - 1]:
                         estimates[u][quadrant - 1] = 0.0
                         count += 1
         return count
@@ -165,13 +180,10 @@ def build_edge_estimate(
     def relax() -> int:
         count = 0
         for quadrant in QUADRANTS:
-            order = sorted(
-                topology.node_ids, key=lambda u: _SWEEP_ORDER[quadrant](topology, u)
-            )
-            for u in order:
+            for u in sweeps[quadrant]:
                 if not math.isinf(estimates[u][quadrant - 1]):
                     continue
-                members = quadrant_neighbors(topology, u, quadrant)
+                members = neighbors[u][quadrant - 1]
                 if not members:
                     continue
                 best = min(estimates[v][quadrant - 1] for v in members)

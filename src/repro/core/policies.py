@@ -14,6 +14,10 @@ exercised through identical machinery.
   classes of Algorithm 1, still evaluated with ``M`` (Eq. 7 / Eq. 8).
 * :class:`EModelPolicy` — the practical protocol: greedy classes scored by
   the proactive 4-tuple ``E`` (Eq. 10); no recursive search at run time.
+
+Decisions run on bitmasks (see :mod:`repro.core.coloring`): the kernel's
+covered set is converted once per decision, and only the chosen colour and
+its receivers become node sets again, in the returned :class:`Advance`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,11 @@ from abc import ABC, abstractmethod
 from typing import Literal
 
 from repro.core.advance import Advance, BroadcastState
-from repro.core.coloring import ColorScheme, cached_greedy_color_classes
+from repro.core.coloring import (
+    ColorScheme,
+    cached_greedy_color_masks,
+    relay_candidates,
+)
 from repro.core.estimation import EdgeEstimate, build_edge_estimate
 from repro.core.time_counter import SearchConfig, TimeCounter
 from repro.dutycycle.schedule import WakeupSchedule
@@ -103,6 +111,32 @@ class SchedulingPolicy(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def _decision_masks(state: BroadcastState) -> tuple[int, int]:
+    """``W`` and the nodes of ``W`` allowed to relay now, as masks."""
+    topology = state.topology
+    covered = topology.mask_from_nodes(state.covered)
+    if state.schedule is None:
+        return covered, covered
+    awake = state.schedule.awake_nodes(state.covered, state.time)
+    return covered, topology.mask_from_nodes(awake)
+
+
+def _advance(
+    state: BroadcastState, colors: list[tuple[int, int]], index: int, note: str
+) -> Advance:
+    """The advance of colour ``colors[index]`` (a ``(colour, receivers)`` mask pair)."""
+    color, receivers = colors[index]
+    nodes = state.topology.nodes_from_mask
+    return Advance(
+        time=state.time,
+        color=nodes(color),
+        receivers=nodes(receivers),
+        color_index=index + 1,
+        num_colors=len(colors),
+        note=note,
+    )
+
+
 class _TimeCounterPolicy(SchedulingPolicy):
     """Shared implementation of the two ``M``-driven schedulers."""
 
@@ -176,44 +210,31 @@ class _TimeCounterPolicy(SchedulingPolicy):
             # Lazy preparation for callers that drive the policy directly.
             counter = self._bind(state.topology, state.schedule)
 
-        awake = None
-        if state.schedule is not None:
-            awake = state.schedule.awake_nodes(state.covered, state.time)
+        topology = state.topology
+        covered, pool = _decision_masks(state)
         if self._decision_scheme.mode == "greedy":
             # Decision-level greedy colourings are pure in (topology, W,
             # awake), so broadcasts sharing a topology reuse them; the
             # recursive evaluation of M keeps its own uncached scheme (its
             # state space would swamp the cache).
-            colors = cached_greedy_color_classes(
-                state.topology, state.covered, awake
-            )
+            colors = cached_greedy_color_masks(topology, covered, pool)
         else:
-            colors = self._decision_scheme.color_classes(
-                state.topology, state.covered, awake
+            colors = self._decision_scheme.color_masks(
+                topology, relay_candidates(topology, covered, pool)
             )
         if not colors:
             return None
+        best = 0
         if len(colors) == 1:
             # M cannot change a choice of one; skip the search whose
             # completion time would be discarded, but still reject a
             # broadcast that can never finish.
-            counter.check_reachable(state.covered)
-            best_color = colors[0]
+            counter.check_reachable_mask(covered)
         else:
-            best_color, _ = counter.select_color(state.covered, state.time, colors)
-        num_colors = len(colors)
-        color_index = next(
-            (i + 1 for i, c in enumerate(colors) if c == best_color), 0
-        )
-        return Advance.from_color(
-            state.topology,
-            state.covered,
-            best_color,
-            state.time,
-            color_index=color_index,
-            num_colors=num_colors,
-            note=self.name,
-        )
+            color_sets = [topology.nodes_from_mask(color) for color, _ in colors]
+            best_color, _ = counter.select_color(state.covered, state.time, color_sets)
+            best = color_sets.index(best_color)
+        return _advance(state, colors, best, self.name)
 
 
 class OptPolicy(_TimeCounterPolicy):
@@ -333,31 +354,17 @@ class EModelPolicy(SchedulingPolicy):
         if estimate is None or self._topology is not state.topology:
             estimate = self._bind(state.topology, state.schedule)
 
-        awake = None
-        if state.schedule is not None:
-            awake = state.schedule.awake_nodes(state.covered, state.time)
-        colors = cached_greedy_color_classes(state.topology, state.covered, awake)
+        topology = state.topology
+        covered, pool = _decision_masks(state)
+        colors = cached_greedy_color_masks(topology, covered, pool)
         if not colors:
             return None
 
-        scored: list[tuple[float, int, int, frozenset[int]]] = []
-        for index, color in enumerate(colors):
-            score = estimate.color_score(state.topology, color, state.covered)
-            advance = Advance.from_color(
-                state.topology, state.covered, color, state.time
-            )
-            scored.append((score, len(advance.receivers), -index, color))
-        scored.sort(key=lambda item: (item[0], item[1], item[2]), reverse=True)
-        best_color = scored[0][3]
-        color_index = next(
-            (i + 1 for i, c in enumerate(colors) if c == best_color), 0
-        )
-        return Advance.from_color(
-            state.topology,
-            state.covered,
-            best_color,
-            state.time,
-            color_index=color_index,
-            num_colors=len(colors),
-            note=self.name,
-        )
+        # Highest score, then most receivers, then the lowest colour index.
+        uncovered = topology.full_mask & ~covered
+        scored = [
+            (estimate.color_score_mask(topology, color, uncovered), reach.bit_count(), -index)
+            for index, (color, reach) in enumerate(colors)
+        ]
+        best = -max(scored)[2]
+        return _advance(state, colors, best, self.name)

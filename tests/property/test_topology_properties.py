@@ -152,7 +152,7 @@ def test_matrix_lower_bound_and_reachability_equal_bfs(topology, data):
     uncovered = topology.node_set - covered
     distance = _bfs(topology, covered)
     expected_bound = max(distance.values(), default=0) if uncovered else 0
-    assert counter._hop_lower_bound(covered) == expected_bound
+    assert counter._hop_lower_bound(topology.mask_from_nodes(covered)) == expected_bound
     if uncovered - distance.keys():
         with pytest.raises(UnreachableNodes):
             counter.check_reachable(covered)

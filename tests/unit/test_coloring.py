@@ -195,7 +195,7 @@ class TestColorScheme:
     def test_num_colors_is_lambda(self, figure1):
         topo, source = figure1
         covered = frozenset({source, 0, 1, 2})
-        assert ColorScheme().num_colors(topo, covered) == 3
+        assert len(greedy_color_classes(topo, covered)) == 3
 
 
 class TestCachedGreedyColorClasses:

@@ -115,3 +115,69 @@ class TestHelpers:
     def test_active_slots_until_zero_horizon(self):
         schedule = WakeupSchedule([0], rate=3, seed=0)
         assert schedule.active_slots_until(0, 0) == []
+
+
+def _scan_next_active(schedule: WakeupSchedule, node_id: int, slot: int) -> int:
+    """Brute force: the first slot >= ``slot`` at which ``is_active`` holds."""
+    while not schedule.is_active(node_id, slot):
+        slot += 1
+    return slot
+
+
+class TestNextActiveLookup:
+    @pytest.mark.parametrize("rate", [1, 3, 10, 50])
+    def test_at_and_between_active_slots(self, rate):
+        schedule = WakeupSchedule([0], rate=rate, seed=11)
+        reference = WakeupSchedule([0], rate=rate, seed=11)
+        active = reference.active_slots_until(0, 6 * rate)
+        probes = {1, active[2], active[2] + 1, active[3] - 1, active[-1]}
+        for slot in sorted(probes):
+            assert schedule.next_active_slot(0, slot) == _scan_next_active(
+                reference, 0, slot
+            )
+
+    @pytest.mark.parametrize("rate", [1, 7, 50])
+    def test_far_past_the_generated_cycles(self, rate):
+        # A fresh schedule has generated nothing; the first query jumps
+        # thousands of cycles ahead.
+        far = 5000 * rate + 3
+        schedule = WakeupSchedule([0], rate=rate, seed=4)
+        expected = _scan_next_active(WakeupSchedule([0], rate=rate, seed=4), 0, far)
+        assert schedule.next_active_slot(0, far) == expected
+        # Earlier slots are still answered from the same sorted list.
+        assert schedule.next_active_slot(0, 2) == _scan_next_active(schedule, 0, 2)
+
+    def test_every_slot_of_a_heterogeneous_schedule(self):
+        schedule = WakeupSchedule([0, 1, 2], rate=5, seed=2, rates={1: 2, 2: 9})
+        reference = WakeupSchedule([0, 1, 2], rate=5, seed=2, rates={1: 2, 2: 9})
+        for node in (0, 1, 2):
+            for slot in range(1, 60):
+                assert schedule.next_active_slot(node, slot) == _scan_next_active(
+                    reference, node, slot
+                )
+
+
+class TestAwakeMask:
+    def test_bit_i_is_the_ith_node(self):
+        schedule = WakeupSchedule([7, 3, 5], rate=4, seed=1, rates={5: 9})
+        for slot in range(1, 40):
+            awake = schedule.awake_nodes(schedule.node_ids, slot)
+            expected = sum(
+                1 << i for i, u in enumerate(schedule.node_ids) if u in awake
+            )
+            assert schedule.awake_mask(slot) == expected
+            assert all(
+                schedule.is_active(u, slot) == (u in awake) for u in schedule.node_ids
+            )
+
+    def test_explicit_schedule_repeats_in_masks(self):
+        schedule = WakeupSchedule.from_explicit({0: [1], 1: [2], 2: [1]}, rate=3)
+        assert schedule.awake_mask(1) == 0b101
+        assert schedule.awake_mask(2) == 0b010
+        assert schedule.awake_mask(3) == 0
+        assert schedule.awake_mask(4) == 0b101
+
+    def test_slots_are_one_based(self):
+        schedule = WakeupSchedule([0], rate=3, seed=0)
+        with pytest.raises(ValueError):
+            schedule.awake_mask(0)
